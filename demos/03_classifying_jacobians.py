@@ -1,9 +1,13 @@
 """Deciding whether an arbitrary rational Jacobian preserves the metric.
 
-The decision is two exact enumerations: the permanent must be 1, and every
-repeated-index column tuple must have a zero entry product.  A failing
-matrix comes back with a machine-checkable witness; a passing one comes
-back with its recovered (permutation, scales) data.
+The decision has two exact conditions: the permanent must be 1, and every
+repeated-index column tuple must have a zero entry product.  Both are read
+off the support pattern without enumeration: a greedy scan finds the first
+repeated-index tuple with a nonzero product, and without one the matrix is
+either monomial (permanent = scale product) or has a zero row (permanent
+0).  A failing matrix comes back with a machine-checkable witness; a
+passing one comes back with its recovered (permutation, scales) data.
+`permanent` (Ryser's formula) is only needed to re-check a witness.
 """
 
 from fractions import Fraction as F

@@ -12,23 +12,26 @@ unit scale product.  The argument needs a third row to play indices against
 for n >= 3; the 2x2 system (ac = 0, bd = 0, ad + bc = 1) yields the same
 conclusion by direct case analysis, so the classifier accepts n >= 2.
 
-Both conditions are decided by exact enumeration.  Degenerate tuples are
-enumerated over the per-row supports (column indices with nonzero entries):
-any tuple with an off-support index has product exactly 0 and can never be
-a witness, so restricting to supports visits every possible violation in
-the same lexicographic order as the full n^n scan.
+Both conditions are decided from the per-row supports (the columns with
+nonzero entries) in O(n^2), without enumeration.  A tuple with an
+off-support index has product 0, so the first degenerate tuple in
+lexicographic order is built greedily over the supports, which by
+pigeonhole has a closed form (`_first_degenerate`).  Without one, J has a
+zero row (permanent 0) or is monomial (permanent = scale product), so the
+verdict needs no permanent.  `permanent`, kept to re-check witnesses, is
+Ryser's formula; the dimension cap (DEFAULT_MAX_N) is a policy limit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, ScaledPerm
-from .matrix import ONE, RationalMatrix, as_vector
+from .matrix import ONE, ZERO, RationalMatrix, as_vector
 from .permutation import Permutation
 from .sampling import random_nonzero_rational, random_scaled_perm, trial_rng
 
@@ -90,25 +93,60 @@ class OracleReport:
 
 def _check_cap(n: int, max_n: int) -> None:
     if n > max_n:
-        raise DimensionCapExceeded(f"dimension {n} exceeds the enumeration cap {max_n}")
+        raise DimensionCapExceeded(f"dimension {n} exceeds the dimension cap {max_n}")
 
 
 def permanent(matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N) -> Fraction:
-    """Exact permanent by enumeration over all n! column permutations."""
+    """Exact permanent by Ryser's formula, column subsets in Gray-code order.
+
+    perm(A) = (-1)^n * sum over column subsets S of
+    (-1)^|S| * prod_i sum_{j in S} A[i, j].  Each row is scaled to integers
+    first, so the 2^n loop runs on ints; the scaling is divided out at the end.
+    """
     n = matrix.n
     _check_cap(n, max_n)
-    rows = matrix.rows
-    total = Fraction(0)
-    for columns in itertools.permutations(range(n)):
-        term = ONE
-        for i, j in enumerate(columns):
-            entry = rows[i][j]
-            if not entry:
-                term = Fraction(0)
-                break
-            term = term * entry
-        total += term
-    return total
+    rows = []
+    denominator = 1
+    for row in matrix.rows:
+        lcm = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (lcm // v.denominator) for v in row])
+        denominator *= lcm
+    columns = list(zip(*rows))
+    sums = [0] * n
+    subset = 0
+    sign = 1  # (-1)^|S|
+    total = 0
+    for k in range(1, 1 << n):
+        bit = k & -k  # the column that enters or leaves S at step k
+        subset ^= bit
+        step = add if subset & bit else sub
+        sums = list(map(step, sums, columns[bit.bit_length() - 1]))
+        sign = -sign
+        total += sign * math.prod(sums)
+    return Fraction(-total if n % 2 else total, denominator)
+
+
+def _supports(matrix: RationalMatrix) -> list[list[int]]:
+    """The nonzero columns (0-based) of each row."""
+    return [[j for j, v in enumerate(row) if v] for row in matrix.rows]
+
+
+def _first_degenerate(
+    matrix: RationalMatrix, supports: list[list[int]]
+) -> DegenerateTuple | None:
+    """The first repeated-index support tuple in lexicographic order, for
+    supports that are all nonempty; None exactly when J is monomial."""
+    n = matrix.n
+    columns = [support[0] for support in supports]  # the least support tuple
+    if len(set(columns)) == n:
+        # A permutation: moving any one position to a larger support column
+        # makes it repeat, and moving the last movable one gives the least.
+        i = next((i for i in reversed(range(n)) if len(supports[i]) > 1), None)
+        if i is None:
+            return None
+        columns[i] = supports[i][1]
+    product = math.prod((matrix.rows[i][j] for i, j in enumerate(columns)), start=ONE)
+    return DegenerateTuple(tuple(j + 1 for j in columns), product)
 
 
 def degenerate_products_zero(
@@ -119,19 +157,11 @@ def degenerate_products_zero(
     Otherwise the first violating tuple in lexicographic order, with its
     (necessarily nonzero) product.
     """
-    n = matrix.n
-    _check_cap(n, max_n)
-    supports = [
-        tuple(j for j in range(n) if matrix.rows[i][j]) for i in range(n)
-    ]
-    for columns in itertools.product(*supports):
-        if len(set(columns)) == n:
-            continue  # a permutation tuple; constrained by the permanent instead
-        product = ONE
-        for i, j in enumerate(columns):
-            product = product * matrix.rows[i][j]
-        return DegenerateTuple(tuple(j + 1 for j in columns), product)
-    return None
+    _check_cap(matrix.n, max_n)
+    supports = _supports(matrix)
+    if not all(supports):
+        return None  # a zero row zeroes every product
+    return _first_degenerate(matrix, supports)
 
 
 def extract_pattern(matrix: RationalMatrix) -> tuple[Permutation, tuple[Fraction, ...]]:
@@ -146,9 +176,7 @@ def extract_pattern(matrix: RationalMatrix) -> tuple[Permutation, tuple[Fraction
         nonzero = [(j, v) for j, v in enumerate(row) if v]
         if len(nonzero) != 1:
             raise NotMonomial(f"row {i + 1} has {len(nonzero)} nonzero entries, expected 1")
-    # second pass keeps the error messages row-accurate
-    for row in matrix.rows:
-        j, v = next((j, v) for j, v in enumerate(row) if v)
+        j, v = nonzero[0]
         image.append(j + 1)
         scale.append(v)
     if len(set(image)) != matrix.n:
@@ -164,15 +192,19 @@ def invariance_system_check(
     if n < 2:
         raise DimensionMismatch("classification needs n >= 2")
     _check_cap(n, max_n)
-    witness = degenerate_products_zero(matrix, max_n=max_n)
+    supports = _supports(matrix)
+    if not all(supports):
+        return Violation(PermanentMismatch(ZERO))  # a zero row zeroes every product
+    witness = _first_degenerate(matrix, supports)
     if witness is not None:
         return Violation(witness)
-    value = permanent(matrix, max_n=max_n)
+    # J is monomial, and its permanent is the scale product of its pattern.
+    columns = [support[0] for support in supports]
+    scale = tuple(row[j] for row, j in zip(matrix.rows, columns))
+    value = math.prod(scale, start=ONE)
     if value != 1:
         return Violation(PermanentMismatch(value))
-    # Both conditions hold, so the monomial pattern is guaranteed to exist.
-    sigma, scale = extract_pattern(matrix)
-    return Symmetry(sigma, scale)
+    return Symmetry(Permutation(tuple(j + 1 for j in columns)), scale)
 
 
 def classify_affine(

@@ -1,7 +1,7 @@
 """Command-line front end with JSON input/output and stable exit codes.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict (violation,
-non-membership, failed oracle), 2 usage or input error, 3 enumeration cap
+non-membership, failed oracle), 2 usage or input error, 3 dimension cap
 exceeded.  Every flag that names an input accepts either a file path or
 inline JSON (recognized by a leading "{" or "[").  The single JSON result
 document goes to stdout (or --output); diagnostics go to stderr.
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="square rational matrix, path or inline JSON")
     p.add_argument("--y", help="optional translation vector for the affine map")
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n",
-                   help="enumeration cap on the dimension (default 8)")
+                   help="dimension cap (default 8)")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("membership", parents=[common],
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="trial count (default 100)")
     p.add_argument("--seed", type=int, default=0, help="seed (default 0)")
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n",
-                   help="enumeration cap on the dimension (default 8)")
+                   help="dimension cap (default 8)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("lie-exp", parents=[common], help="componentwise exponential")
@@ -235,7 +235,9 @@ def main(argv=None) -> int:
         # must precede ValueError: the cap error is a ValueError subclass
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, RecursionError) as exc:
+        # OverflowError: an input value too large for a float; RecursionError:
+        # JSON nested too deeply to parse
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

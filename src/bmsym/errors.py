@@ -42,7 +42,7 @@ class NotSquare(ValueError):
 
 
 class DimensionCapExceeded(ValueError):
-    """Requested dimension is above the configured enumeration cap."""
+    """Requested dimension is above the configured dimension cap."""
 
 
 class MalformedInput(ValueError):

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionMismatch,
@@ -25,6 +24,9 @@ from .errors import (
 from .group import ScaledPerm
 from .matrix import as_fraction
 from .permutation import Permutation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOLERANCE = 1e-12
 
@@ -170,6 +172,8 @@ def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
     """Commutator computed on the dense matrices; diagonal matrices commute."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes differ: {x.n} vs {y.n}")
+    import numpy as np  # imported here so that importing bmsym does not load numpy
+
     dense_x = np.diag([float(v) for v in x.diag])
     dense_y = np.diag([float(v) for v in y.diag])
     commutator = dense_x @ dense_y - dense_y @ dense_x
@@ -188,6 +192,8 @@ def structure_constants(n: int) -> np.ndarray:
     """
     if n < 2:
         raise DimensionMismatch("need n >= 2")
+    import numpy as np
+
     dim = n - 1
     tensor = np.zeros((dim, dim, dim))
     for i in range(1, n):

@@ -26,24 +26,21 @@ from bmsym import (
     theorem_oracle,
     witness_violates,
 )
-from bmsym.sampling import random_scaled_perm, random_vector, trial_rng
+from bmsym.sampling import (
+    random_nonzero_rational,
+    random_scaled_perm,
+    random_vector,
+    trial_rng,
+)
 from helpers import scaled_perms
+from oracles import (
+    brute_force_degenerate,
+    enumerated_check,
+    enumerated_permanent,
+    support_scan_degenerate,
+)
 
 WORKED = RationalMatrix([[0, 2, 0], [0, 0, 3], [F(1, 6), 0, 0]])
-
-
-def brute_force_degenerate(m):
-    """Reference oracle: scan all n^n column tuples in lexicographic order."""
-    n = m.n
-    for columns in itertools.product(range(n), repeat=n):
-        if len(set(columns)) == n:
-            continue
-        product = F(1)
-        for i, j in enumerate(columns):
-            product *= m.rows[i][j]
-        if product != 0:
-            return DegenerateTuple(tuple(j + 1 for j in columns), product)
-    return None
 
 
 def random_matrix(n, rng, density=0.6):
@@ -98,6 +95,14 @@ def test_degenerate_witness_worked_example():
 def test_degenerate_zero_matrix_passes():
     zero = RationalMatrix([[0] * 3 for _ in range(3)])
     assert degenerate_products_zero(zero) is None
+
+
+def test_support_scan_matches_brute_force():
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        for _ in range(100):
+            m = random_matrix(n, rng, density=rng.choice([0.3, 0.6]))
+            assert support_scan_degenerate(m) == brute_force_degenerate(m)
 
 
 def test_degenerate_matches_brute_force():
@@ -264,6 +269,76 @@ def test_witness_violates_negative_cases():
     assert not witness_violates(m, PermanentMismatch(F(3)))
     # a non-degenerate tuple is never a witness
     assert not witness_violates(m, DegenerateTuple((1, 2, 3), F(1)))
+
+
+# cross-checks of the pattern classifier and Ryser against enumeration
+
+
+def _monomial_rows(n, rng):
+    rows = [list(row) for row in random_scaled_perm(n, rng).to_dense().rows]
+    if rng.random() < 0.5:  # scale product other than 1
+        row = rows[rng.randrange(n)]
+        k = next(k for k, v in enumerate(row) if v)
+        row[k] *= rng.choice([-1, 2, F(1, 3)])
+    return rows
+
+
+def _perturb(rows, rng, extra):
+    n = len(rows)
+    for _ in range(extra):
+        rows[rng.randrange(n)][rng.randrange(n)] = random_nonzero_rational(rng)
+    return rows
+
+
+def _cross_check_matrices(n, rng, count):
+    """Monomials, perturbed monomials, monomials with a zeroed row, and
+    random matrices from nearly empty to full, in equal shares."""
+    for index in range(count):
+        family = index % 4
+        if family == 0:
+            rows = _monomial_rows(n, rng)
+        elif family == 1:
+            rows = _perturb(_monomial_rows(n, rng), rng, rng.randint(1, 3))
+        elif family == 2:
+            rows = _perturb(_monomial_rows(n, rng), rng, rng.randint(0, 2))
+            rows[rng.randrange(n)] = [F(0)] * n
+        else:
+            density = rng.choice([0.1, 0.25, 0.5, 0.9])
+            rows = [
+                [random_nonzero_rational(rng) if rng.random() < density else F(0)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+        yield RationalMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_classifier_matches_enumeration(n):
+    rng = random.Random(f"cross-check:{n}")
+    for m in _cross_check_matrices(n, rng, 400):
+        assert permanent(m) == enumerated_permanent(m), m
+        assert degenerate_products_zero(m) == support_scan_degenerate(m), m
+        assert invariance_system_check(m) == enumerated_check(m), m
+
+
+def test_permanent_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("sympy-per")
+    for n in (2, 3, 4, 5, 6):
+        for m in _cross_check_matrices(n, rng, 20):
+            rows = [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.rows]
+            value = sympy.Matrix(rows).per()
+            assert permanent(m) == F(int(value.p), int(value.q)), m
+
+
+def test_classify_scaled_permutation_at_n64():
+    element = random_scaled_perm(64, random.Random("n64"))
+    report = invariance_system_check(element.to_dense(), max_n=64)
+    assert report == Symmetry(element.sigma, element.scale)
+
+
+def test_oracle_at_n8():
+    assert theorem_oracle(8, 100, seed=0).all_passed()
 
 
 # randomized oracle

@@ -186,6 +186,34 @@ def test_log_off_component_is_exit_2():
     assert result.returncode == 2
 
 
+def _assert_one_line_input_error(result):
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+def test_exp_overflow_is_exit_2():
+    _assert_one_line_input_error(run_cli("lie-exp", "--input", '{"n":2,"tdiag":[800.0,-800.0]}'))
+
+
+def test_metric_beyond_float_range_is_exit_2():
+    _assert_one_line_input_error(run_cli("metric", "--y", json.dumps(["1" + "0" * 399, "1"])))
+
+
+def test_deeply_nested_json_is_exit_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    _assert_one_line_input_error(run_cli("classify", "--matrix", str(deep)))
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, bmsym.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_file_inputs_and_output(tmp_path):
     matrix_file = tmp_path / "m.json"
     matrix_file.write_text(WORKED_MATRIX)
