@@ -24,6 +24,7 @@ from .group import metric
 from .lie import basis, component_signature, lie_exp, lie_log, structure_constants
 from .permutation import Permutation
 from .serialize import (
+    _require_n,
     canonical_dumps,
     diag_from_obj,
     diag_to_obj,
@@ -53,10 +54,7 @@ def _load(value: str):
 def _permutation_argument(obj, fallback_n: int) -> Permutation:
     """Accept either a bare one-line array or an object with a "sigma" key."""
     if isinstance(obj, dict):
-        n = obj.get("n", fallback_n)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise MalformedInput(f'"n" must be a positive integer, got {n!r}')
-        return permutation_from_obj(obj.get("sigma"), n)
+        return permutation_from_obj(obj.get("sigma"), _require_n(obj, fallback_n))
     return permutation_from_obj(obj, fallback_n)
 
 

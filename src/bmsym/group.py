@@ -5,6 +5,12 @@ A scaled permutation (monomial) matrix carries the value ``scale[i]`` in row
 pinned to 1 these matrices are exactly the linear maps preserving the product
 form ``y^1 y^2 ... y^n``; adding an arbitrary translation gives the affine
 symmetry group of the metric ``F(y) = (y^1 ... y^n)^(1/n)``.
+
+Validation contract: the constructors check everything (a bijection, nonzero
+scales of product 1, matching lengths, exact entries), and so does ``apply``
+on a caller's vector.  ``compose``, ``inverse`` and ``to_dense`` build their
+results unchecked: the scales of a product multiply to 1 * 1 and those of an
+inverse to 1 / 1, so validity follows by algebra.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     UnitProductViolation,
     ZeroScale,
 )
-from .matrix import ONE, ZERO, RationalMatrix, as_fraction, as_vector, vec_add, vec_neg
+from .matrix import ONE, ZERO, RationalMatrix, _unchecked, as_fraction, as_vector, vec_add, vec_neg
 from .permutation import Permutation
 
 
@@ -56,10 +62,11 @@ class ScaledPerm:
         return self.sigma.is_identity() and all(v == 1 for v in self.scale)
 
     def to_dense(self) -> RationalMatrix:
-        rows = [[ZERO] * self.n for _ in range(self.n)]
-        for i, (a, s) in enumerate(zip(self.scale, self.sigma.image)):
-            rows[i][s - 1] = a
-        return RationalMatrix(rows)
+        zeros = (ZERO,) * self.n
+        rows = tuple(
+            zeros[: s - 1] + (a,) + zeros[s:] for a, s in zip(self.scale, self.sigma.image)
+        )
+        return _unchecked(RationalMatrix, n=self.n, rows=rows)
 
     def compose(self, other: "ScaledPerm") -> "ScaledPerm":
         """Group product; the dense form is to_dense(self) @ to_dense(other)."""
@@ -69,7 +76,7 @@ class ScaledPerm:
         scale = tuple(
             a * other.scale[s - 1] for a, s in zip(self.scale, self.sigma.image)
         )
-        return ScaledPerm(perm, scale)
+        return _unchecked(ScaledPerm, sigma=perm, scale=scale)
 
     def __mul__(self, other: "ScaledPerm") -> "ScaledPerm":
         if not isinstance(other, ScaledPerm):
@@ -78,8 +85,8 @@ class ScaledPerm:
 
     def inverse(self) -> "ScaledPerm":
         inv = self.sigma.inverse()
-        scale = tuple(ONE / self.scale[inv(i) - 1] for i in range(1, self.n + 1))
-        return ScaledPerm(inv, scale)
+        scale = tuple(ONE / self.scale[j - 1] for j in inv.image)
+        return _unchecked(ScaledPerm, sigma=inv, scale=scale)
 
     def det(self) -> int:
         """The determinant collapses to the permutation sign: the scales multiply to 1."""
@@ -90,6 +97,10 @@ class ScaledPerm:
         vec = as_vector(y)
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)}, expected {self.n}")
+        return self._act(vec)
+
+    def _act(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+        """``apply`` on an already-valid vector of length n."""
         return tuple(a * vec[s - 1] for a, s in zip(self.scale, self.sigma.image))
 
 
@@ -131,8 +142,8 @@ class AffineSymmetry:
         if self.n != other.n:
             raise DimensionMismatch(f"cannot compose sizes {self.n} and {other.n}")
         linear = self.linear.compose(other.linear)
-        translation = vec_add(self.linear.apply(other.translation), self.translation)
-        return AffineSymmetry(linear, translation)
+        translation = vec_add(self.linear._act(other.translation), self.translation)
+        return _unchecked(AffineSymmetry, linear=linear, translation=translation)
 
     def __mul__(self, other: "AffineSymmetry") -> "AffineSymmetry":
         if not isinstance(other, AffineSymmetry):
@@ -141,7 +152,8 @@ class AffineSymmetry:
 
     def inverse(self) -> "AffineSymmetry":
         linear = self.linear.inverse()
-        return AffineSymmetry(linear, vec_neg(linear.apply(self.translation)))
+        translation = vec_neg(linear._act(self.translation))
+        return _unchecked(AffineSymmetry, linear=linear, translation=translation)
 
 
 def metric_power(y: Sequence) -> Fraction:

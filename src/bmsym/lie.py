@@ -38,6 +38,24 @@ def _as_number(value):
     return Fraction(value)
 
 
+def _near_unit_product(values) -> bool:
+    """Whether the exact product of ``values`` lies within TOLERANCE of 1.
+
+    Floats convert exactly to integer ratios, so no partial product can
+    overflow the way a float product does; an infinite or NaN entry has no
+    ratio and fails.
+    """
+    num = den = 1
+    try:
+        for v in values:
+            p, q = v.as_integer_ratio()
+            num, den = num * p, den * q
+    except (OverflowError, ValueError):
+        return False
+    tol_num, tol_den = TOLERANCE.as_integer_ratio()
+    return abs(num - den) * tol_den <= tol_num * den
+
+
 @dataclass(frozen=True)
 class DiagonalGroupElement:
     """diag(a_1..a_n) with nonzero entries and product 1 (within TOLERANCE)."""
@@ -51,9 +69,8 @@ class DiagonalGroupElement:
             raise DimensionMismatch("need at least 2 diagonal entries")
         if any(v == 0 for v in diag):
             raise ZeroCoordinate("diagonal entries must be nonzero")
-        product = math.prod(diag)
-        if abs(product - 1) > TOLERANCE:
-            raise UnitProductViolation(f"entry product is {product}, expected 1")
+        if not _near_unit_product(diag):
+            raise UnitProductViolation(f"entry product is {math.prod(diag)}, expected 1")
 
     @property
     def n(self) -> int:

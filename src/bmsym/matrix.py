@@ -1,4 +1,11 @@
-"""Dense square matrices and vectors over exact rationals."""
+"""Dense square matrices and vectors over exact rationals.
+
+Validation contract: constructors check and coerce everything they are
+given; operations on already-valid values (here ``@``, in ``group`` the
+group law and ``to_dense``) build their results with ``_unchecked``,
+because validity follows by algebra.  Every stored entry is exactly a
+``Fraction`` either way.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +20,8 @@ ONE = Fraction(1)
 
 def as_fraction(value) -> Fraction:
     """Coerce ints/Fractions/strings; floats are rejected to stay exact."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"floats are not exact rationals: {value!r}")
     return Fraction(value)
@@ -20,6 +29,14 @@ def as_fraction(value) -> Fraction:
 
 def as_vector(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(as_fraction(v) for v in values)
+
+
+def _unchecked(cls, **fields):
+    """``cls`` holding ``fields`` as given, unchecked: only for values valid by algebra."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -82,7 +99,7 @@ class RationalMatrix:
                     b = other_row[j]
                     if b:
                         acc[j] += a * b
-        return RationalMatrix(out)
+        return _unchecked(RationalMatrix, n=n, rows=tuple(map(tuple, out)))
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         vec = as_vector(vector)

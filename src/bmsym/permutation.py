@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
+from .matrix import _unchecked
 
 
 @dataclass(frozen=True)
@@ -14,7 +15,9 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        image = tuple(int(v) for v in self.image)
+        image = tuple(self.image)
+        if not all(type(v) is int for v in image):
+            raise TypeError(f"permutation entries must be integers, got {image!r}")
         object.__setattr__(self, "image", image)
         n = len(image)
         if n == 0:
@@ -39,7 +42,7 @@ class Permutation:
         """(self . other)(i) = self(other(i)): other acts first."""
         if self.n != other.n:
             raise DimensionMismatch(f"cannot compose on {self.n} and {other.n} points")
-        return Permutation(tuple(self.image[j - 1] for j in other.image))
+        return _unchecked(Permutation, image=tuple(self.image[j - 1] for j in other.image))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
@@ -50,7 +53,7 @@ class Permutation:
         inv = [0] * self.n
         for i, v in enumerate(self.image, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return _unchecked(Permutation, image=tuple(inv))
 
     def sign(self) -> int:
         """+1 for even, -1 for odd, via the cycle decomposition."""

@@ -57,43 +57,32 @@ def parse_number(value) -> float:
     return result
 
 
-class _CanonicalEncoder(json.JSONEncoder):
-    def default(self, o):
-        raise MalformedInput(f"cannot serialize {type(o).__name__}")
-
-    def iterencode(self, o, _one_shot=False):
-        # float repr via '%.17g' keeps round-trips exact and output stable
-        def walk(value):
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise MalformedInput(f"non-finite value {value!r} cannot be serialized")
-                text = format(value, ".17g")
-                return text if ("." in text or "e" in text) else text + ".0"
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, int):
-                return str(value)
-            if isinstance(value, str):
-                return json.dumps(value)
-            if value is None:
-                return "null"
-            if isinstance(value, (list, tuple)):
-                return "[" + ",".join(walk(v) for v in value) + "]"
-            if isinstance(value, dict):
-                parts = []
-                for key, item in value.items():
-                    if not isinstance(key, str):
-                        raise MalformedInput(f"non-string key {key!r}")
-                    parts.append(json.dumps(key) + ":" + walk(item))
-                return "{" + ",".join(parts) + "}"
-            raise MalformedInput(f"cannot serialize {type(value).__name__}")
-
-        yield walk(o)
-
-
 def canonical_dumps(obj) -> str:
     """Compact deterministic JSON; dict keys keep insertion order."""
-    return "".join(_CanonicalEncoder().iterencode(obj))
+    if isinstance(obj, float):
+        # '%.17g' keeps round-trips exact and output stable
+        if not math.isfinite(obj):
+            raise MalformedInput(f"non-finite value {obj!r} cannot be serialized")
+        text = format(obj, ".17g")
+        return text if ("." in text or "e" in text) else text + ".0"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(canonical_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        parts = []
+        for key, item in obj.items():
+            if not isinstance(key, str):
+                raise MalformedInput(f"non-string key {key!r}")
+            parts.append(json.dumps(key) + ":" + canonical_dumps(item))
+        return "{" + ",".join(parts) + "}"
+    raise MalformedInput(f"cannot serialize {type(obj).__name__}")
 
 
 def loads(text: str):
@@ -115,8 +104,8 @@ def _require_list(obj, what: str) -> list:
     return obj
 
 
-def _require_n(obj: dict) -> int:
-    n = obj.get("n")
+def _require_n(obj: dict, default=None) -> int:
+    n = obj.get("n", default)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MalformedInput(f'"n" must be a positive integer, got {n!r}')
     return n

@@ -44,6 +44,23 @@ def test_group_element_wants_unit_product():
         DiagonalGroupElement((2.0, 2.0, 1.0))
 
 
+def test_unit_product_check_cannot_overflow_midway():
+    # a float product of the first two entries would already be inf (or 0.0)
+    for entries in ((1e200, 1e200, 1e-200, 1e-200), (1e-200, 1e-200, 1e200, 1e200)):
+        element = DiagonalGroupElement(entries)
+        assert element.diag == entries
+        assert element.inverse().multiply(element).is_identity()
+    with pytest.raises(UnitProductViolation):
+        DiagonalGroupElement((1e200, 1e200, 1e-200))
+
+
+def test_group_element_rejects_non_finite_entries():
+    with pytest.raises(UnitProductViolation):
+        DiagonalGroupElement((math.inf, 1.0))
+    with pytest.raises(UnitProductViolation):
+        DiagonalGroupElement((math.nan, 1.0))
+
+
 def test_group_element_rejects_zero_entries():
     with pytest.raises(ZeroCoordinate):
         DiagonalGroupElement((0.0, 1.0, 1.0))

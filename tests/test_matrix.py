@@ -7,7 +7,8 @@ from bmsym import NotSquare, RationalMatrix, as_fraction, as_vector
 
 def test_as_fraction_exact_inputs():
     assert as_fraction(3) == Fraction(3)
-    assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half  # already exact: returned unchanged
     assert as_fraction("2/3") == Fraction(2, 3)
 
 

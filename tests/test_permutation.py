@@ -63,6 +63,20 @@ def test_rejects_non_bijections():
         Permutation(())
 
 
+def test_rejects_non_integer_entries():
+    # int() would truncate 1.7 to 1 and accept a float as an index
+    with pytest.raises(TypeError):
+        Permutation((1.7, 2))
+    with pytest.raises(TypeError):
+        Permutation((2.0, 1.0))
+    with pytest.raises(TypeError):
+        Permutation((True, 2))
+    with pytest.raises(TypeError):
+        Permutation(("1", "2"))
+    with pytest.raises(TypeError):
+        Permutation((Fraction(1), 2))
+
+
 def test_compose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Permutation((2, 1)).compose(Permutation((1, 2, 3)))

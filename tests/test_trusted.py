@@ -1,0 +1,92 @@
+"""Results built without re-validation equal the same values rebuilt through
+the validating constructors, and hold only exact ``Fraction`` entries."""
+
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from bmsym import AffineSymmetry, Permutation, RationalMatrix, ScaledPerm
+from helpers import affine_symmetries, permutations, rationals, scaled_perms
+
+DIMS = st.integers(min_value=1, max_value=8)
+
+
+def pairs(strategy):
+    return DIMS.flatmap(lambda n: st.tuples(strategy(n=n), strategy(n=n)))
+
+
+def perm_pairs():
+    return DIMS.flatmap(
+        lambda n: st.tuples(permutations(min_n=n, max_n=n), permutations(min_n=n, max_n=n))
+    )
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(DIMS)
+    entries = st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    return RationalMatrix(draw(entries)), RationalMatrix(draw(entries))
+
+
+def exact(values) -> bool:
+    return all(type(v) is Fraction for v in values)
+
+
+def assert_valid_perm(p):
+    assert all(type(v) is int for v in p.image)
+    assert Permutation(p.image) == p
+
+
+def assert_valid_scaled(c):
+    assert type(c.scale) is tuple and exact(c.scale)
+    assert_valid_perm(c.sigma)
+    assert ScaledPerm(c.sigma, c.scale) == c
+
+
+def assert_valid_affine(c):
+    assert type(c.translation) is tuple and exact(c.translation)
+    assert_valid_scaled(c.linear)
+    assert AffineSymmetry(c.linear, c.translation) == c
+
+
+def assert_valid_matrix(m):
+    assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+    assert all(exact(row) for row in m.rows)
+    rebuilt = RationalMatrix(m.rows)
+    assert rebuilt == m and hash(rebuilt) == hash(m) and rebuilt.n == m.n
+
+
+@given(perm_pairs())
+def test_permutation_products_and_inverses_revalidate(pair):
+    a, b = pair
+    assert_valid_perm(a * b)
+    assert_valid_perm(a.inverse())
+
+
+@given(pairs(scaled_perms))
+def test_scaled_products_and_inverses_revalidate(pair):
+    a, b = pair
+    assert_valid_scaled(a * b)
+    assert_valid_scaled(a.inverse())
+
+
+@given(pairs(affine_symmetries))
+def test_affine_products_and_inverses_revalidate(pair):
+    a, b = pair
+    assert_valid_affine(a * b)
+    assert_valid_affine(a.inverse())
+
+
+@given(pairs(scaled_perms))
+def test_dense_forms_and_their_products_revalidate(pair):
+    a, b = pair
+    assert_valid_matrix(a.to_dense())
+    product = a.to_dense() @ b.to_dense()
+    assert_valid_matrix(product)
+    assert product == (a * b).to_dense()
+
+
+@given(matrix_pairs())
+def test_dense_products_revalidate(pair):
+    a, b = pair
+    assert_valid_matrix(a @ b)
