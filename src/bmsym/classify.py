@@ -29,13 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from .errors import DimensionCapExceeded, DimensionMismatch, NotMonomial
+from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, ScaledPerm
 from .matrix import ONE, ZERO, RationalMatrix, as_vector
 from .permutation import Permutation
 from .sampling import random_nonzero_rational, random_scaled_perm, trial_rng
-
-DEFAULT_MAX_N = 8
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Exit codes: 0 success or positive verdict, 1 negative verdict (violation,
 non-membership, failed oracle), 2 usage or input error, 3 dimension cap
 exceeded.  Every flag that names an input accepts either a file path or
 inline JSON (recognized by a leading "{" or "[").  The single JSON result
-document goes to stdout (or --output); diagnostics go to stderr.
+document goes to stdout (or --output); diagnostics go to stderr.  Each
+handler imports the layers it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -12,16 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classify import (
-    DEFAULT_MAX_N,
-    Symmetry,
-    invariance_system_check,
-    membership_test,
-    theorem_oracle,
-)
-from .errors import DimensionCapExceeded, DimensionMismatch, MalformedInput
-from .group import metric
-from .lie import basis, component_signature, lie_exp, lie_log, structure_constants
+from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, MalformedInput
 from .permutation import Permutation
 from .serialize import (
     _require_n,
@@ -81,11 +73,15 @@ def _cmd_apply(args) -> tuple[object, int]:
 
 
 def _cmd_metric(args) -> tuple[object, int]:
+    from .group import metric
+
     point = vector_from_obj(_load(args.y), "--y")
     return {"F": metric(point)}, 0
 
 
 def _cmd_classify(args) -> tuple[object, int]:
+    from .classify import Symmetry, invariance_system_check
+
     matrix = matrix_from_obj(_load(args.matrix))
     translation = None
     if args.y is not None:
@@ -100,6 +96,8 @@ def _cmd_classify(args) -> tuple[object, int]:
 
 
 def _cmd_membership(args) -> tuple[object, int]:
+    from .classify import membership_test
+
     matrix = matrix_from_obj(_load(args.matrix))
     sigma = _permutation_argument(_load(args.sigma), matrix.n)
     member = membership_test(matrix, sigma)
@@ -107,19 +105,27 @@ def _cmd_membership(args) -> tuple[object, int]:
 
 
 def _cmd_oracle(args) -> tuple[object, int]:
+    from .classify import theorem_oracle
+
     report = theorem_oracle(args.n, args.trials, args.seed, max_n=args.max_n)
     return oracle_report_to_obj(report), 0 if report.all_passed() else 1
 
 
 def _cmd_lie_exp(args) -> tuple[object, int]:
+    from .lie import lie_exp
+
     return diag_to_obj(lie_exp(tdiag_from_obj(_load(args.input)))), 0
 
 
 def _cmd_lie_log(args) -> tuple[object, int]:
+    from .lie import lie_log
+
     return tdiag_to_obj(lie_log(diag_from_obj(_load(args.input)))), 0
 
 
 def _cmd_lie_basis(args) -> tuple[object, int]:
+    from .lie import basis
+
     _require_lie_n(args.n)
     vectors = [basis(args.n, i) for i in range(1, args.n)]
     return {
@@ -130,12 +136,15 @@ def _cmd_lie_basis(args) -> tuple[object, int]:
 
 
 def _cmd_lie_structure(args) -> tuple[object, int]:
+    from .lie import _structure_lists
+
     _require_lie_n(args.n)
-    tensor = structure_constants(args.n)
-    return {"n": args.n, "dim": args.n - 1, "constants": tensor.tolist()}, 0
+    return {"n": args.n, "dim": args.n - 1, "constants": _structure_lists(args.n)}, 0
 
 
 def _cmd_components(args) -> tuple[object, int]:
+    from .lie import component_signature
+
     element = diag_from_obj(_load(args.input))
     return {"n": element.n, "signs": list(component_signature(element))}, 0
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the dimension cap.
 
 Everything derives from ValueError so callers can catch broadly; the CLI
 distinguishes DimensionCapExceeded (exit 3) from other input errors (exit 2).
 """
+
+DEFAULT_MAX_N = 8  # the classifier's dimension cap, a policy limit
 
 
 class DimensionMismatch(ValueError):

@@ -21,12 +21,11 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .group import ScaledPerm
-from .matrix import as_fraction
-from .permutation import Permutation
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .group import ScaledPerm
 
 TOLERANCE = 1e-12
 
@@ -38,18 +37,25 @@ def _as_number(value):
     return Fraction(value)
 
 
-def _near_unit_product(values) -> bool:
-    """Whether the exact product of ``values`` lies within TOLERANCE of 1.
+def _ratio_product(values) -> tuple[int, int]:
+    """The exact product of ``values`` as (numerator, denominator).
 
     Floats convert exactly to integer ratios, so no partial product can
     overflow the way a float product does; an infinite or NaN entry has no
-    ratio and fails.
+    ratio and raises OverflowError or ValueError.
     """
     num = den = 1
+    for v in values:
+        p, q = v.as_integer_ratio()
+        num, den = num * p, den * q
+    return num, den
+
+
+def _near_unit_product(values) -> bool:
+    """Whether the exact product of ``values`` lies within TOLERANCE of 1;
+    false when an entry is infinite or NaN."""
     try:
-        for v in values:
-            p, q = v.as_integer_ratio()
-            num, den = num * p, den * q
+        num, den = _ratio_product(values)
     except (OverflowError, ValueError):
         return False
     tol_num, tol_den = TOLERANCE.as_integer_ratio()
@@ -109,7 +115,8 @@ class TracelessDiagonal:
         if len(diag) < 2:
             raise DimensionMismatch("need at least 2 diagonal entries")
         trace = sum(diag)
-        if abs(trace) > TOLERANCE:
+        # "not <=" also fails a NaN or infinite entry, whose trace is NaN or infinite
+        if not abs(trace) <= TOLERANCE:
             raise TraceNotZero(f"trace is {trace}, expected 0")
 
     @property
@@ -139,14 +146,20 @@ class TracelessDiagonal:
 
 
 def dn1_new(first) -> DiagonalGroupElement:
-    """Element from its first n-1 entries; the last is the reciprocal product."""
+    """Element from its first n-1 entries; the last is the reciprocal product.
+
+    The product is formed exactly, so it cannot overflow midway; the last
+    entry is a float, rounded once, when any leading entry is a float.
+    """
     entries = tuple(_as_number(v) for v in first)
     if not entries:
         raise DimensionMismatch("need at least one leading entry")
     if any(v == 0 for v in entries):
         raise ZeroCoordinate("chart coordinates must be nonzero")
-    product = math.prod(entries)
-    return DiagonalGroupElement((*entries, 1 / product))
+    num, den = _ratio_product(entries)
+    if any(isinstance(v, float) for v in entries):
+        return DiagonalGroupElement((*entries, den / num))
+    return DiagonalGroupElement((*entries, Fraction(den, num)))
 
 
 def chart(a: DiagonalGroupElement) -> tuple:
@@ -186,18 +199,54 @@ def basis(n: int, i: int) -> TracelessDiagonal:
 
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
-    """Commutator computed on the dense matrices; diagonal matrices commute."""
+    """Commutator XY - YX computed on the dense float matrices; diagonal
+    matrices commute."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes differ: {x.n} vs {y.n}")
-    import numpy as np  # imported here so that importing bmsym does not load numpy
-
-    dense_x = np.diag([float(v) for v in x.diag])
-    dense_y = np.diag([float(v) for v in y.diag])
-    commutator = dense_x @ dense_y - dense_y @ dense_x
-    off_diagonal = commutator - np.diag(np.diag(commutator))
-    if np.any(off_diagonal != 0.0):
+    dense_x = _dense_diagonal(x)
+    dense_y = _dense_diagonal(y)
+    commutator = [
+        [p - q for p, q in zip(row_xy, row_yx)]
+        for row_xy, row_yx in zip(_matmul(dense_x, dense_y), _matmul(dense_y, dense_x))
+    ]
+    if any(v for i, row in enumerate(commutator) for j, v in enumerate(row) if i != j):
         raise RuntimeError("commutator of diagonal matrices is not diagonal")
-    return TracelessDiagonal(tuple(float(v) for v in np.diag(commutator)))
+    return TracelessDiagonal(tuple(row[i] for i, row in enumerate(commutator)))
+
+
+def _dense_diagonal(x: TracelessDiagonal) -> list[list[float]]:
+    return [[float(v) if i == j else 0.0 for j in range(x.n)] for i, v in enumerate(x.diag)]
+
+
+def _matmul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """Dense product that skips zero entries, like RationalMatrix.__matmul__."""
+    out = [[0.0] * len(a) for _ in a]
+    for row, acc in zip(a, out):
+        for u, b_row in zip(row, b):
+            if u:
+                for j, v in enumerate(b_row):
+                    if v:
+                        acc[j] += u * v
+    return out
+
+
+def _structure_lists(n: int) -> list[list[list[float]]]:
+    """structure_constants(n) as nested float lists, without numpy."""
+    if n < 2:
+        raise DimensionMismatch("need n >= 2")
+    vectors = [basis(n, i) for i in range(1, n)]
+    tensor = []
+    for e_i in vectors:
+        plane = []
+        for e_j in vectors:
+            b = bracket(e_i, e_j)
+            coefficients = [float(v) for v in b.diag[:-1]]
+            # The expansion is faithful only if the dropped last entry agrees.
+            if float(b.diag[-1]) != -sum(coefficients):
+                raise RuntimeError("bracket does not lie in the span of the basis")
+            plane.append(coefficients)
+        tensor.append(plane)
+    return tensor
 
 
 def structure_constants(n: int) -> np.ndarray:
@@ -207,21 +256,10 @@ def structure_constants(n: int) -> np.ndarray:
     read off positions 1..n-1), not assumed; the algebra is abelian, so the
     result is the zero tensor.
     """
-    if n < 2:
-        raise DimensionMismatch("need n >= 2")
-    import numpy as np
+    tensor = _structure_lists(n)
+    import numpy as np  # imported here so that only this function loads numpy
 
-    dim = n - 1
-    tensor = np.zeros((dim, dim, dim))
-    for i in range(1, n):
-        for j in range(1, n):
-            b = bracket(basis(n, i), basis(n, j))
-            coefficients = [float(b.diag[k]) for k in range(dim)]
-            # The expansion is faithful only if the dropped last entry agrees.
-            if float(b.diag[n - 1]) != -sum(coefficients):
-                raise RuntimeError("bracket does not lie in the span of the basis")
-            tensor[i - 1, j - 1, :] = coefficients
-    return tensor
+    return np.array(tensor, dtype=float)
 
 
 def component_signature(a: DiagonalGroupElement) -> tuple[int, ...]:
@@ -234,5 +272,9 @@ def as_scaled_perm(a: DiagonalGroupElement) -> ScaledPerm:
 
     Requires rational entries with exact unit product; floats are rejected.
     """
+    from .group import ScaledPerm
+    from .matrix import as_fraction
+    from .permutation import Permutation
+
     scale = tuple(as_fraction(v) for v in a.diag)
     return ScaledPerm(Permutation.identity(a.n), scale)

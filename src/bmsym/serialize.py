@@ -5,6 +5,8 @@ codec inserts them, separators are compact, rationals are lowest-terms
 "p" or "p/q" strings, floats go through repr-faithful '%.17g'.  Parsers
 reject anything that does not match the documented shapes with
 MalformedInput so the CLI can map the whole family to one exit code.
+The classifier and Lie record types are imported inside the functions that
+use them, so the group subcommands load neither layer.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ import json
 import math
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .classify import DegenerateTuple, OracleReport, PermanentMismatch, Symmetry, Violation
 from .errors import MalformedInput
 from .group import AffineSymmetry, ScaledPerm
-from .lie import DiagonalGroupElement, TracelessDiagonal
 from .matrix import RationalMatrix, as_fraction
 from .permutation import Permutation
+
+if TYPE_CHECKING:
+    from .classify import OracleReport
+    from .lie import DiagonalGroupElement, TracelessDiagonal
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -196,6 +201,8 @@ def diag_to_obj(element: DiagonalGroupElement) -> dict:
 
 
 def diag_from_obj(obj) -> DiagonalGroupElement:
+    from .lie import DiagonalGroupElement
+
     obj = _require_dict(obj, "group element")
     n = _require_n(obj)
     values = _require_list(obj.get("diag"), '"diag"')
@@ -212,6 +219,8 @@ def tdiag_to_obj(element: TracelessDiagonal) -> dict:
 
 
 def tdiag_from_obj(obj) -> TracelessDiagonal:
+    from .lie import TracelessDiagonal
+
     obj = _require_dict(obj, "algebra element")
     n = _require_n(obj)
     values = _require_list(obj.get("tdiag"), '"tdiag"')
@@ -224,6 +233,8 @@ def tdiag_from_obj(obj) -> TracelessDiagonal:
 
 
 def witness_to_obj(witness) -> dict:
+    from .classify import DegenerateTuple, PermanentMismatch
+
     if isinstance(witness, DegenerateTuple):
         return {
             "kind": "degenerate_tuple",
@@ -236,6 +247,8 @@ def witness_to_obj(witness) -> dict:
 
 
 def witness_from_obj(obj):
+    from .classify import DegenerateTuple, PermanentMismatch
+
     obj = _require_dict(obj, "witness")
     kind = obj.get("kind")
     if kind == "degenerate_tuple":
@@ -250,6 +263,8 @@ def witness_from_obj(obj):
 
 
 def report_to_obj(report, translation=None) -> dict:
+    from .classify import Symmetry, Violation
+
     if isinstance(report, Symmetry):
         out = {
             "verdict": "symmetry",

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import bmsym
 from bmsym.cli import main
 from bmsym.serialize import canonical_dumps
 
@@ -212,6 +213,74 @@ def test_cli_import_does_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+# One successful call of each of the twelve subcommands.
+SUBCOMMAND_ARGS = {
+    "compose": ["--a", ELEMENT_P, "--b", ELEMENT_Q],
+    "inverse": ["--input", ELEMENT_P],
+    "apply": ["--input", ELEMENT_P, "--y", '["1","2","4"]'],
+    "metric": ["--y", "[1,2,4]"],
+    "classify": ["--matrix", WORKED_MATRIX],
+    "membership": ["--matrix", WORKED_MATRIX, "--sigma", "[3,1,2]"],
+    "oracle": ["--n", "3", "--trials", "5"],
+    "lie-exp": ["--input", '{"n":2,"tdiag":[1.0,-1.0]}'],
+    "lie-log": ["--input", '{"n":2,"diag":[2.0,0.5]}'],
+    "lie-basis": ["--n", "3"],
+    "lie-structure": ["--n", "3"],
+    "components": ["--input", '{"n":3,"diag":[-2.0,-0.5,1.0]}'],
+}
+GROUP_SUBCOMMANDS = ("compose", "inverse", "apply", "metric")
+LIE_SUBCOMMANDS = ("lie-exp", "lie-log", "lie-basis", "lie-structure", "components")
+
+_LOADED_AFTER_MAIN = (
+    "import sys\n"
+    "from bmsym.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('bmsym')))\n"
+)
+
+
+def loaded_after(*argv):
+    """Exit code of one CLI call in a fresh interpreter, and the bmsym and
+    numpy modules loaded when it returns."""
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    code, *modules = result.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMAND_ARGS)
+def test_subcommand_loads_only_its_layers(subcommand):
+    code, modules = loaded_after(subcommand, *SUBCOMMAND_ARGS[subcommand])
+    assert code == 0
+    assert "numpy" not in modules
+    if subcommand in GROUP_SUBCOMMANDS:
+        assert not modules & {"bmsym.classify", "bmsym.lie"}
+    if subcommand in LIE_SUBCOMMANDS:
+        assert "bmsym.classify" not in modules
+
+
+def test_import_bmsym_loads_no_submodule():
+    code = "import sys, bmsym; print(*sorted(m for m in sys.modules if m.startswith('bmsym')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "bmsym\n"
+
+
+def test_star_import_yields_every_public_name():
+    namespace = {}
+    exec("from bmsym import *", namespace)
+    assert set(bmsym.__all__) <= namespace.keys()
+    assert set(bmsym.__all__) <= set(dir(bmsym))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bmsym.no_such_name
+    assert not hasattr(bmsym, "no_such_name")
 
 
 def test_file_inputs_and_output(tmp_path):

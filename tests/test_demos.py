@@ -1,6 +1,5 @@
 """Each narrated demo runs to completion without writing to stderr."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -17,8 +16,6 @@ def test_all_five_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from oracles import numpy_bracket
 
 from bmsym import (
     DiagonalGroupElement,
@@ -72,6 +73,12 @@ def test_traceless_wants_zero_trace():
         TracelessDiagonal((1.0, 1.0))
 
 
+def test_traceless_rejects_non_finite_entries():
+    for entries in ((math.nan, 1.0), (math.inf, -math.inf), (math.inf, 1.0), (F(1), math.nan)):
+        with pytest.raises(TraceNotZero):
+            TracelessDiagonal(entries)
+
+
 # constructors and the chart
 
 
@@ -79,6 +86,16 @@ def test_dn1_new_examples():
     assert dn1_new((F(2), F(1, 2))).diag == (F(2), F(1, 2), F(1))
     assert dn1_new((F(5),)).diag == (F(5), F(1, 5))
     assert dn1_new((F(1), F(1), F(1))).is_identity()
+
+
+def test_dn1_new_cannot_overflow_midway():
+    # the float product 1e200 * 1e200 is inf, whose reciprocal is 0.0
+    a = dn1_new((1e200, 1e200, 1e-200))
+    assert a.diag[:3] == (1e200, 1e200, 1e-200)
+    # the exact reciprocal product, rounded once
+    assert a.diag[3] == float(1 / (F(1e200) * F(1e200) * F(1e-200)))
+    assert dn1_new((1e-200, 1e-200, 1e200)).diag[3] == float(1 / (F(1e-200) * F(1e-200) * F(1e200)))
+    assert dn1_new((F(10**200), F(10**200))).diag[2] == F(1, 10**400)  # rationals stay exact
 
 
 def test_dn1_new_rejects_zero():
@@ -224,6 +241,28 @@ def test_structure_constants_zero():
         tensor = structure_constants(n)
         assert tensor.shape == (n - 1, n - 1, n - 1)
         assert not tensor.any()
+
+
+floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
+fractions = st.fractions(min_value=-10, max_value=10, max_denominator=100)
+
+
+@st.composite
+def traceless_diagonals(draw, n, entries):
+    head = [draw(entries) for _ in range(n - 1)]
+    return TracelessDiagonal((*head, -sum(head)))
+
+
+@given(st.data(), st.integers(min_value=2, max_value=8), st.sampled_from([floats, fractions]))
+def test_bracket_matches_numpy_dense_commutator(data, n, entries):
+    x = data.draw(traceless_diagonals(n, entries))
+    y = data.draw(traceless_diagonals(n, entries))
+    # repr tells 0.0 from -0.0, which the CLI's JSON prints differently
+    assert list(map(repr, bracket(x, y).diag)) == list(map(repr, numpy_bracket(x, y)))
+    tensor = structure_constants(n)
+    assert tensor.shape == (n - 1,) * 3
+    assert tensor.dtype == float
+    assert not tensor.any()
 
 
 # components and the crossover to the exact group
