@@ -31,7 +31,7 @@ from operator import add, sub
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, ScaledPerm
-from .matrix import ONE, ZERO, RationalMatrix, as_vector
+from .matrix import ONE, ZERO, RationalMatrix, _prod, as_vector
 from .permutation import Permutation
 from .sampling import random_nonzero_rational, random_scaled_perm, trial_rng
 
@@ -143,7 +143,7 @@ def _first_degenerate(
         if i is None:
             return None
         columns[i] = supports[i][1]
-    product = math.prod((matrix.rows[i][j] for i, j in enumerate(columns)), start=ONE)
+    product = _prod(matrix.rows[i][j] for i, j in enumerate(columns))
     return DegenerateTuple(tuple(j + 1 for j in columns), product)
 
 
@@ -199,7 +199,7 @@ def invariance_system_check(
     # J is monomial, and its permanent is the scale product of its pattern.
     columns = [support[0] for support in supports]
     scale = tuple(row[j] for row, j in zip(matrix.rows, columns))
-    value = math.prod(scale, start=ONE)
+    value = _prod(scale)
     if value != 1:
         return Violation(PermanentMismatch(value))
     return Symmetry(Permutation(tuple(j + 1 for j in columns)), scale)
@@ -234,7 +234,7 @@ def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:
     product = matrix @ e_sigma
     if not product.is_diagonal():
         return False
-    return math.prod(product.diagonal(), start=ONE) == 1
+    return _prod(product.diagonal()) == 1
 
 
 def witness_violates(
@@ -246,9 +246,7 @@ def witness_violates(
             return False
         if len(set(witness.indices)) == matrix.n:
             return False  # not degenerate
-        product = ONE
-        for i, k in enumerate(witness.indices):
-            product = product * matrix.rows[i][k - 1]
+        product = _prod(matrix.rows[i][k - 1] for i, k in enumerate(witness.indices))
         return product != 0 and product == witness.product
     if isinstance(witness, PermanentMismatch):
         return witness.value != 1 and permanent(matrix, max_n=max_n) == witness.value

@@ -10,12 +10,17 @@ Validation contract: the constructors check everything (a bijection, nonzero
 scales of product 1, matching lengths, exact entries), and so does ``apply``
 on a caller's vector.  ``compose``, ``inverse`` and ``to_dense`` build their
 results unchecked: the scales of a product multiply to 1 * 1 and those of an
-inverse to 1 / 1, so validity follows by algebra.
+inverse to 1 / 1, so validity follows by algebra.  Past the constructors
+every scale, translation and coordinate is an exact ``Fraction``, so the
+group law, the action and ``metric_power`` multiply, invert and add them
+with the scalar kernels of ``matrix`` (``_mul``, ``_inv``, ``_add``,
+``_neg``, ``_prod``), which return the same ``Fraction``s as the operators.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,7 +31,8 @@ from .errors import (
     UnitProductViolation,
     ZeroScale,
 )
-from .matrix import ONE, ZERO, RationalMatrix, _unchecked, as_fraction, as_vector, vec_add, vec_neg
+from .matrix import ONE, ZERO, RationalMatrix, _inv, _mul, _prod, _unchecked, as_fraction, as_vector
+from .matrix import vec_add, vec_neg
 from .permutation import Permutation
 
 
@@ -46,9 +52,12 @@ class ScaledPerm:
             )
         if any(v == 0 for v in scale):
             raise ZeroScale("scale entries must be nonzero")
-        product = math.prod(scale, start=ONE)
-        if product != 1:
-            raise UnitProductViolation(f"scale product is {product}, expected 1")
+        numerator = math.prod(v.numerator for v in scale)
+        denominator = math.prod(v.denominator for v in scale)
+        if numerator != denominator:
+            raise UnitProductViolation(
+                f"scale product is {Fraction(numerator, denominator)}, expected 1"
+            )
 
     @property
     def n(self) -> int:
@@ -73,9 +82,7 @@ class ScaledPerm:
         if self.n != other.n:
             raise DimensionMismatch(f"cannot compose sizes {self.n} and {other.n}")
         perm = other.sigma.compose(self.sigma)
-        scale = tuple(
-            a * other.scale[s - 1] for a, s in zip(self.scale, self.sigma.image)
-        )
+        scale = tuple(_mul(a, other.scale[s - 1]) for a, s in zip(self.scale, self.sigma.image))
         return _unchecked(ScaledPerm, sigma=perm, scale=scale)
 
     def __mul__(self, other: "ScaledPerm") -> "ScaledPerm":
@@ -85,7 +92,7 @@ class ScaledPerm:
 
     def inverse(self) -> "ScaledPerm":
         inv = self.sigma.inverse()
-        scale = tuple(ONE / self.scale[j - 1] for j in inv.image)
+        scale = tuple(_inv(self.scale[j - 1]) for j in inv.image)
         return _unchecked(ScaledPerm, sigma=inv, scale=scale)
 
     def det(self) -> int:
@@ -101,7 +108,7 @@ class ScaledPerm:
 
     def _act(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         """``apply`` on an already-valid vector of length n."""
-        return tuple(a * vec[s - 1] for a, s in zip(self.scale, self.sigma.image))
+        return tuple(_mul(a, vec[s - 1]) for a, s in zip(self.scale, self.sigma.image))
 
 
 @dataclass(frozen=True)
@@ -165,22 +172,43 @@ def metric_power(y: Sequence) -> Fraction:
     vec = as_vector(y)
     if len(vec) < 2:
         raise DimensionMismatch("the metric needs n >= 2 coordinates")
-    return math.prod(vec, start=ONE)
+    return _prod(vec)
 
 
 def metric(y: Sequence) -> float:
     """Real n-th root of the product; signed for odd n.
 
     Even n with a negative product has no real value and raises
-    NegativeRadicand.
+    NegativeRadicand.  A product of nonzero coordinates that overflows or
+    falls below the normal float range keeps its sign, and the root of its
+    magnitude comes from the coordinates' mantissas and exponents instead.
     """
     values = [float(v) for v in y]
     n = len(values)
     if n < 2:
         raise DimensionMismatch("the metric needs n >= 2 coordinates")
     product = math.prod(values)
+    if 0.0 in values or sys.float_info.min <= abs(product) < math.inf:
+        root = abs(product) ** (1.0 / n)
+    else:
+        mantissa, exponent = 1.0, 0
+        for v in values:
+            m, e = math.frexp(v)
+            mantissa, carry = math.frexp(mantissa * m)
+            exponent += e + carry
+        # |product| = |mantissa| * 2**exponent = (|mantissa| * 2**remainder)
+        # * 2**(n * quotient); the first factor is a float while remainder
+        # < 1024, and past that (only for n > 1024) is rooted in two parts
+        quotient, remainder = divmod(exponent, n)
+        if remainder < 1024:
+            base = math.ldexp(abs(mantissa), remainder) ** (1.0 / n)
+        else:
+            base = abs(mantissa) ** (1.0 / n) * 2.0 ** (remainder / n)
+        root = math.ldexp(base, quotient)
     if n % 2 == 0:
-        if product < 0:
-            raise NegativeRadicand(f"even order {n} with product {product}")
-        return product ** (1.0 / n)
-    return math.copysign(abs(product) ** (1.0 / n), product)
+        # the sign bit, not "< 0", so that an underflow to -0.0 counts too
+        if math.copysign(1.0, product) < 0 and 0.0 not in values:
+            shown = product or "below the float range, negative"
+            raise NegativeRadicand(f"even order {n} with product {shown}")
+        return root
+    return math.copysign(root, product)

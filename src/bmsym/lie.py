@@ -73,6 +73,8 @@ class DiagonalGroupElement:
         object.__setattr__(self, "diag", diag)
         if len(diag) < 2:
             raise DimensionMismatch("need at least 2 diagonal entries")
+        if len({isinstance(v, float) for v in diag}) > 1:
+            raise TypeError(f"entries must be all floats or all exact, got {diag!r}")
         if any(v == 0 for v in diag):
             raise ZeroCoordinate("diagonal entries must be nonzero")
         if not _near_unit_product(diag):
@@ -115,8 +117,14 @@ class TracelessDiagonal:
         if len(diag) < 2:
             raise DimensionMismatch("need at least 2 diagonal entries")
         trace = sum(diag)
-        # "not <=" also fails a NaN or infinite entry, whose trace is NaN or infinite
-        if not abs(trace) <= TOLERANCE:
+        # "not <=" also fails a NaN or infinite entry, whose trace is NaN or
+        # infinite; finite entries whose float sum overflowed midway are
+        # summed again exactly, on their integer ratios
+        if not abs(trace) <= TOLERANCE and not (
+            math.isinf(trace)
+            and all(map(math.isfinite, diag))
+            and abs(sum(map(Fraction, diag))) <= TOLERANCE
+        ):
             raise TraceNotZero(f"trace is {trace}, expected 0")
 
     @property

@@ -5,11 +5,22 @@ given; operations on already-valid values (here ``@``, in ``group`` the
 group law and ``to_dense``) build their results with ``_unchecked``,
 because validity follows by algebra.  Every stored entry is exactly a
 ``Fraction`` either way.
+
+Scalar kernels: ``_mul``, ``_inv``, ``_add``, ``_neg`` and ``_prod`` do the
+arithmetic of those operations, and take validated ``Fraction``s only.  They
+read each operand's integer ratio through ``as_integer_ratio`` and build
+each result through ``_fraction`` from a ratio already in lowest terms with
+a positive denominator, so nothing is type-checked or reduced twice.  Each
+returns exactly the ``Fraction`` (value, numerator, denominator, hash and
+type) that the operator it replaces returns; ``_inv`` raises
+``ZeroDivisionError`` on 0.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
@@ -39,14 +50,82 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """``numerator / denominator`` for coprime ints with ``denominator > 0``,
+    unchecked; the only code that touches ``Fraction`` internals (the slots
+    exist on Python 3.10+, and 3.12+ builds its own results this way)."""
+    obj = object.__new__(Fraction)
+    obj._numerator = numerator
+    obj._denominator = denominator
+    return obj
+
+
+def _mul(a: Fraction, b: Fraction) -> Fraction:
+    """``a * b``: cancel across (a's numerator with b's denominator and the
+    converse), so the products are already in lowest terms."""
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    g = math.gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = math.gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    return _fraction(na * nb, da * db)
+
+
+def _inv(a: Fraction) -> Fraction:
+    """``1 / a``; raises ZeroDivisionError when a is 0."""
+    n, d = a.as_integer_ratio()
+    if n > 0:
+        return _fraction(d, n)
+    if n < 0:
+        return _fraction(-d, -n)
+    raise ZeroDivisionError("Fraction(1, 0)")
+
+
+def _add(a: Fraction, b: Fraction) -> Fraction:
+    """``a + b``, reducing by the gcd of the denominators first (the method
+    of ``Fraction._add``)."""
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    g = math.gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _fraction(t // g2, s * (db // g2))
+
+
+def _neg(a: Fraction) -> Fraction:
+    """``-a``."""
+    n, d = a.as_integer_ratio()
+    return _fraction(-n, d)
+
+
+def _prod(values: Iterable[Fraction]) -> Fraction:
+    """The product of ``values`` (1 when empty): the product of the
+    numerators over that of the denominators, reduced by one gcd."""
+    numerator = denominator = 1
+    for v in values:
+        n, d = v.as_integer_ratio()
+        numerator *= n
+        denominator *= d
+    g = math.gcd(numerator, denominator)
+    return _fraction(numerator // g, denominator // g)
+
+
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(_add, u, v))
 
 
 def vec_neg(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(-a for a in u)
+    return tuple(map(_neg, u))
 
 
 class RationalMatrix:
@@ -98,14 +177,16 @@ class RationalMatrix:
                 for j in range(n):
                     b = other_row[j]
                     if b:
-                        acc[j] += a * b
+                        acc[j] = _add(acc[j], _mul(a, b))
         return _unchecked(RationalMatrix, n=n, rows=tuple(map(tuple, out)))
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         vec = as_vector(vector)
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} for a {self.n}x{self.n} matrix")
-        return tuple(sum((a * x for a, x in zip(row, vec) if a), start=ZERO) for row in self.rows)
+        return tuple(
+            reduce(_add, (_mul(a, x) for a, x in zip(row, vec) if a), ZERO) for row in self.rows
+        )
 
     def det(self) -> Fraction:
         """Determinant by cofactor expansion; zero entries are skipped."""

@@ -202,6 +202,15 @@ def test_metric_beyond_float_range_is_exit_2():
     _assert_one_line_input_error(run_cli("metric", "--y", json.dumps(["1" + "0" * 399, "1"])))
 
 
+def test_metric_of_a_product_beyond_float_range_in_process(capsys):
+    # the float products are inf and 0.0; the roots 1e200 and 1e-200 are not
+    for coordinate, root in ((str(10**200), 1e200), (f"1/{10**200}", 1e-200)):
+        assert main(["metric", "--y", json.dumps([coordinate, coordinate])]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == canonical_dumps({"F": root}) + "\n"
+        assert captured.err == ""
+
+
 def test_deeply_nested_json_is_exit_2(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)

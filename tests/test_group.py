@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from bmsym import (
     AffineSymmetry,
@@ -205,6 +206,45 @@ def test_metric_negative_radicand_even_n():
 def test_metric_signed_root_odd_n():
     assert metric((-1, 2, 4)) == -2.0
     assert metric((-8.0, 1, 1)) == -2.0
+
+
+def test_metric_beyond_the_float_range_of_the_product():
+    # the float products are 0.0 and inf, but the roots lie in range
+    assert metric((F(1, 10**200),) * 2) == 1e-200
+    assert metric((F(10**200),) * 2) == 1e200
+    assert metric((F(10**200),) * 3) == 1e200
+    assert metric((F(-(10**200)), F(10**200), F(10**200))) == -1e200
+    assert metric((F(-1, 10**200), F(1, 10**200), F(1, 10**200))) == -1e-200
+    assert metric((F(10**300),) * 1000) == 1e300
+    assert metric((F(1, 10**300),) * 1000) == 1e-300
+    assert metric((F(10**300),) * 2000) == 1e300  # 2**(remainder) alone would overflow
+    # a subnormal product: the root keeps full precision
+    assert metric((F(1, 10**160), F(1, 10**160))) == 1e-160
+    with pytest.raises(NegativeRadicand, match="product -inf"):
+        metric((F(10**200), F(-(10**200))))
+    with pytest.raises(NegativeRadicand, match="product below the float range, negative"):
+        metric((F(1, 10**200), F(-1, 10**200)))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=10**6),
+                          st.integers(min_value=-300, max_value=300)), min_size=2, max_size=1500))
+def test_metric_matches_the_mean_log_of_the_coordinates(parts):
+    # most of these products leave the float range; the root never does
+    y = [F(m) * F(10) ** e for m, e in parts]
+    mean_log = sum(math.log(m) + e * math.log(10) for m, e in parts) / len(parts)
+    assert math.log(metric(y)) == pytest.approx(mean_log, rel=1e-12, abs=1e-9)
+
+
+def test_metric_keeps_zero_coordinates_and_their_sign():
+    assert metric((0, 5)) == 0.0
+    assert metric((-1, 0)) == 0.0  # the even root of -0.0 is not a negative radicand
+    assert str(metric((-1, 0, 1))) == "-0.0"
+    assert metric((F(10**200), 0, F(10**200))) == 0.0
+
+
+def test_metric_coordinate_beyond_float_range_still_overflows():
+    with pytest.raises(OverflowError):
+        metric((F(10**400), F(1)))
 
 
 # properties

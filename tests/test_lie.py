@@ -62,6 +62,15 @@ def test_group_element_rejects_non_finite_entries():
         DiagonalGroupElement((math.nan, 1.0))
 
 
+def test_group_element_rejects_mixed_exact_and_float_entries():
+    with pytest.raises(TypeError):
+        DiagonalGroupElement((F(1, 2), 2.0))
+    with pytest.raises(TypeError):
+        DiagonalGroupElement((2.0, F(1, 4), 2))
+    assert DiagonalGroupElement((0.5, 2.0)).diag == (0.5, 2.0)
+    assert DiagonalGroupElement((F(1, 2), 2)).diag == (F(1, 2), F(2))
+
+
 def test_group_element_rejects_zero_entries():
     with pytest.raises(ZeroCoordinate):
         DiagonalGroupElement((0.0, 1.0, 1.0))
@@ -77,6 +86,14 @@ def test_traceless_rejects_non_finite_entries():
     for entries in ((math.nan, 1.0), (math.inf, -math.inf), (math.inf, 1.0), (F(1), math.nan)):
         with pytest.raises(TraceNotZero):
             TracelessDiagonal(entries)
+
+
+def test_trace_check_cannot_overflow_midway():
+    # the float sum 1e308 + 1e308 is already inf, but the trace is exactly 0
+    for entries in ((1e308, 1e308, -1e308, -1e308), (-1e308, -1e308, 1e308, 1e308)):
+        assert TracelessDiagonal(entries).diag == entries
+    with pytest.raises(TraceNotZero):
+        TracelessDiagonal((1e308, 1e308, -1e308))
 
 
 # constructors and the chart

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bmsym import NotSquare, RationalMatrix, as_fraction, as_vector
+from bmsym.matrix import _add, _inv, _mul, _neg, _prod
 
 
 def test_as_fraction_exact_inputs():
@@ -71,3 +73,62 @@ def test_immutable():
     before = m.rows
     m.with_entry(1, 1, Fraction(5))
     assert m.rows == before
+
+
+# scalar kernels: each returns what the Fraction operator it replaces returns
+
+BIG = 2**64
+integers = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(BIG**2), max_value=BIG**2),
+    st.sampled_from([0, BIG + 1, -(BIG + 1), 2 * BIG, -(3**50)]),
+)
+denominators = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=BIG**2),
+    st.sampled_from([BIG + 1, 2 * BIG, 3**50]),
+)
+fractions = st.builds(Fraction, integers, denominators)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Pairs of fractions, half of them over the same denominator."""
+    if draw(st.booleans()):
+        d = draw(denominators)
+        return Fraction(draw(integers), d), Fraction(draw(integers), d)
+    return draw(fractions), draw(fractions)
+
+
+def assert_same_fraction(got, want):
+    assert type(got) is Fraction
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+
+
+@given(fraction_pairs())
+def test_mul_and_add_kernels_match_the_operators(pair):
+    a, b = pair
+    assert_same_fraction(_mul(a, b), a * b)
+    assert_same_fraction(_add(a, b), a + b)
+
+
+@given(fractions)
+def test_neg_and_inv_kernels_match_the_operators(a):
+    assert_same_fraction(_neg(a), -a)
+    if a:
+        assert_same_fraction(_inv(a), 1 / a)
+
+
+@given(st.lists(fractions, max_size=8))
+def test_prod_kernel_matches_the_operator(values):
+    want = Fraction(1)
+    for v in values:
+        want *= v
+    assert_same_fraction(_prod(values), want)
+
+
+def test_inv_kernel_rejects_zero():
+    with pytest.raises(ZeroDivisionError):
+        _inv(Fraction(0))

@@ -1,12 +1,14 @@
 """Results built without re-validation equal the same values rebuilt through
-the validating constructors, and hold only exact ``Fraction`` entries."""
+the validating constructors, and hold only exact ``Fraction`` entries in
+lowest terms."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from bmsym import AffineSymmetry, Permutation, RationalMatrix, ScaledPerm
-from helpers import affine_symmetries, permutations, rationals, scaled_perms
+from bmsym import AffineSymmetry, Permutation, RationalMatrix, ScaledPerm, metric_power
+from helpers import affine_symmetries, permutations, rationals, scaled_perms, vectors
 
 DIMS = st.integers(min_value=1, max_value=8)
 
@@ -29,7 +31,12 @@ def matrix_pairs(draw):
 
 
 def exact(values) -> bool:
-    return all(type(v) is Fraction for v in values)
+    """Every value is exactly a Fraction in lowest terms with a positive
+    denominator, as the scalar kernels must build them."""
+    return all(
+        type(v) is Fraction and v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+        for v in values
+    )
 
 
 def assert_valid_perm(p):
@@ -90,3 +97,17 @@ def test_dense_forms_and_their_products_revalidate(pair):
 def test_dense_products_revalidate(pair):
     a, b = pair
     assert_valid_matrix(a @ b)
+
+
+@st.composite
+def images(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    entries = st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(affine_symmetries(n=n)), RationalMatrix(draw(entries)), draw(vectors(n))
+
+
+@given(images())
+def test_images_and_metric_powers_are_in_lowest_terms(case):
+    a, m, y = case
+    assert exact(a.apply(y)) and exact(a.linear.apply(y)) and exact(m.apply(y))
+    assert exact((metric_power(y), metric_power(a.linear.apply(y))))
