@@ -20,6 +20,8 @@ pigeonhole has a closed form (`_first_degenerate`).  Without one, J has a
 zero row (permanent 0) or is monomial (permanent = scale product), so the
 verdict needs no permanent.  `permanent`, kept to re-check witnesses, is
 Ryser's formula; the dimension cap (DEFAULT_MAX_N) is a policy limit.
+Verdicts and the oracle's perturbed matrices are built unchecked: the
+decision proved distinct support columns and a unit scale product.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from operator import add, sub
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, ScaledPerm
-from .matrix import ONE, ZERO, RationalMatrix, _prod, as_vector
+from .matrix import ZERO, RationalMatrix, _prod, _unchecked, as_vector
 from .permutation import Permutation
 from .sampling import random_nonzero_rational, random_scaled_perm, trial_rng
 
@@ -202,7 +204,7 @@ def invariance_system_check(
     value = _prod(scale)
     if value != 1:
         return Violation(PermanentMismatch(value))
-    return Symmetry(Permutation(tuple(j + 1 for j in columns)), scale)
+    return Symmetry(_unchecked(Permutation, image=tuple(j + 1 for j in columns)), scale)
 
 
 def classify_affine(
@@ -217,24 +219,24 @@ def classify_affine(
     report = invariance_system_check(matrix, max_n=max_n)
     if isinstance(report, Violation):
         return report
-    return AffineSymmetry(report.element(), translation)
+    linear = _unchecked(ScaledPerm, sigma=report.sigma, scale=report.scale)
+    return _unchecked(AffineSymmetry, linear=linear, translation=translation)
 
 
 def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:
     """True iff matrix @ E_sigma is diagonal with determinant 1.
 
-    E_sigma is the unscaled permutation matrix for sigma.  Equivalently the
-    matrix is monomial with permutation sigma^{-1} and unit scale product.
-    The eigenvector condition on the standard basis is exactly "the product
-    is diagonal", so no eigensolver is involved.
+    E_sigma is the unscaled permutation matrix for sigma.  Entry (i, j) of
+    the product is matrix[i, sigma^{-1}(j)], so it is diagonal exactly when
+    row i is zero off column sigma^{-1}(i).  One O(n^2) scan of the rows
+    decides that, with no matrix product and no eigensolver.
     """
     if matrix.n != sigma.n:
         raise DimensionMismatch(f"matrix size {matrix.n} vs permutation on {sigma.n} points")
-    e_sigma = ScaledPerm(sigma, (ONE,) * sigma.n).to_dense()
-    product = matrix @ e_sigma
-    if not product.is_diagonal():
+    pattern = tuple(zip(matrix.rows, sigma.inverse().image))
+    if any(any(row[: j - 1]) or any(row[j:]) for row, j in pattern):
         return False
-    return _prod(product.diagonal()) == 1
+    return _prod(row[j - 1] for row, j in pattern) == 1
 
 
 def witness_violates(
@@ -259,7 +261,10 @@ def _inject_off_pattern(element: ScaledPerm, rng) -> RationalMatrix:
     row = rng.randrange(n) + 1
     on_column = element.sigma(row)
     column = rng.choice([j for j in range(1, n + 1) if j != on_column])
-    return element.to_dense().with_entry(row, column, random_nonzero_rational(rng))
+    rows = list(element.to_dense().rows)
+    entries = rows[row - 1]
+    rows[row - 1] = entries[: column - 1] + (random_nonzero_rational(rng),) + entries[column:]
+    return _unchecked(RationalMatrix, n=n, rows=tuple(rows))
 
 
 def theorem_oracle(

@@ -23,6 +23,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -179,16 +181,17 @@ def metric(y: Sequence) -> float:
     """Real n-th root of the product; signed for odd n.
 
     Even n with a negative product has no real value and raises
-    NegativeRadicand.  A product of nonzero coordinates that overflows or
-    falls below the normal float range keeps its sign, and the root of its
-    magnitude comes from the coordinates' mantissas and exponents instead.
+    NegativeRadicand.  When a running product of nonzero coordinates leaves
+    the normal float range at any step, the float product gives only the
+    sign, and the root comes from the coordinates' mantissas and exponents.
     """
     values = [float(v) for v in y]
     n = len(values)
     if n < 2:
         raise DimensionMismatch("the metric needs n >= 2 coordinates")
-    product = math.prod(values)
-    if 0.0 in values or sys.float_info.min <= abs(product) < math.inf:
+    partials = list(accumulate(values, mul))
+    product = partials[-1]
+    if 0.0 in values or all(sys.float_info.min <= abs(p) < math.inf for p in partials):
         root = abs(product) ** (1.0 / n)
     else:
         mantissa, exponent = 1.0, 0

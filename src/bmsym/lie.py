@@ -78,7 +78,11 @@ class DiagonalGroupElement:
         if any(v == 0 for v in diag):
             raise ZeroCoordinate("diagonal entries must be nonzero")
         if not _near_unit_product(diag):
-            raise UnitProductViolation(f"entry product is {math.prod(diag)}, expected 1")
+            product = math.prod(diag)
+            if not 0 < abs(product) < math.inf and all(map(math.isfinite, diag)):
+                num, den = _ratio_product(diag)  # the float product left the range
+                product = f"{'above' if abs(num) > den else 'below'} the float range"
+            raise UnitProductViolation(f"entry product is {product}, expected 1")
 
     @property
     def n(self) -> int:

@@ -2,18 +2,20 @@
 
 Scales are ratios of integers in [-9, 9] without zero; the last scale is the
 reciprocal of the running product, so unit products hold exactly by
-construction.  Every generator takes an explicit random.Random so callers
-control reproducibility; trial_rng derives an independent stream per
-(seed, index) pair, making batch runs schedule-independent.
+construction.  A shuffle of 1..n is a bijection, so sampled permutations and
+scaled permutations are built unchecked.  Every generator takes an explicit
+random.Random so callers control reproducibility; trial_rng derives an
+independent stream per (seed, index) pair, making batch runs
+schedule-independent.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
-from .group import AffineSymmetry, ScaledPerm
+from .group import ScaledPerm
+from .matrix import _inv, _prod, _unchecked
 from .permutation import Permutation
 
 _NONZERO = tuple(v for v in range(-9, 10) if v != 0)
@@ -33,28 +35,19 @@ def random_positive_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.choice(_POSITIVE), rng.choice(_POSITIVE))
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    """May be zero; used for translations and test vectors."""
-    return Fraction(rng.randint(-9, 9), rng.choice(_POSITIVE))
-
-
 def random_permutation(n: int, rng: random.Random) -> Permutation:
+    if n < 1:
+        raise ValueError("a permutation needs at least one point")
     image = list(range(1, n + 1))
     rng.shuffle(image)
-    return Permutation(tuple(image))
+    return _unchecked(Permutation, image=tuple(image))
 
 
 def random_scaled_perm(n: int, rng: random.Random, *, positive: bool = False) -> ScaledPerm:
     draw = random_positive_rational if positive else random_nonzero_rational
     head = [draw(rng) for _ in range(n - 1)]
-    product = math.prod(head, start=Fraction(1))
-    return ScaledPerm(random_permutation(n, rng), (*head, 1 / product))
-
-
-def random_affine_symmetry(n: int, rng: random.Random) -> AffineSymmetry:
-    linear = random_scaled_perm(n, rng)
-    translation = tuple(random_rational(rng) for _ in range(n))
-    return AffineSymmetry(linear, translation)
+    sigma = random_permutation(n, rng)
+    return _unchecked(ScaledPerm, sigma=sigma, scale=(*head, _inv(_prod(head))))
 
 
 def random_vector(n: int, rng: random.Random, *, positive: bool = False) -> tuple[Fraction, ...]:

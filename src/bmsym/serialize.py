@@ -163,13 +163,6 @@ def element_from_obj(obj) -> AffineSymmetry:
         raise MalformedInput(str(exc)) from exc
 
 
-def matrix_to_obj(matrix: RationalMatrix) -> dict:
-    return {
-        "n": matrix.n,
-        "rows": [[format_rational(v) for v in row] for row in matrix.rows],
-    }
-
-
 def matrix_from_obj(obj) -> RationalMatrix:
     obj = _require_dict(obj, "matrix")
     n = _require_n(obj)
@@ -244,22 +237,6 @@ def witness_to_obj(witness) -> dict:
     if isinstance(witness, PermanentMismatch):
         return {"kind": "permanent", "value": format_rational(witness.value)}
     raise MalformedInput(f"unknown witness type {type(witness).__name__}")
-
-
-def witness_from_obj(obj):
-    from .classify import DegenerateTuple, PermanentMismatch
-
-    obj = _require_dict(obj, "witness")
-    kind = obj.get("kind")
-    if kind == "degenerate_tuple":
-        indices = _require_list(obj.get("tuple"), '"tuple"')
-        for value in indices:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise MalformedInput(f'"tuple" entries must be positive integers, got {value!r}')
-        return DegenerateTuple(tuple(indices), parse_rational(obj.get("product")))
-    if kind == "permanent":
-        return PermanentMismatch(parse_rational(obj.get("value")))
-    raise MalformedInput(f'unknown witness kind {kind!r}')
 
 
 def report_to_obj(report, translation=None) -> dict:

@@ -1,16 +1,29 @@
 """Reference implementations that the fast code is checked against.
 
 The enumerations follow the definition directly and cost n! or n^n, so
-they only run on small matrices in the tests; the Lie bracket is checked
-against numpy's dense matrix products.
+they only run on small matrices in the tests; membership is checked against
+the dense product it reads off, the samplers against the same draws built
+through the validating constructors, and the Lie bracket against numpy's
+dense matrix products.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from bmsym import DegenerateTuple, PermanentMismatch, Symmetry, Violation, extract_pattern
+from bmsym import (
+    DegenerateTuple,
+    DimensionMismatch,
+    PermanentMismatch,
+    Permutation,
+    ScaledPerm,
+    Symmetry,
+    Violation,
+    extract_pattern,
+)
+from bmsym.sampling import random_nonzero_rational, random_positive_rational
 
 
 def _product(m, columns):
@@ -73,3 +86,33 @@ def numpy_bracket(x, y):
     commutator = dense_x @ dense_y - dense_y @ dense_x
     assert not np.any(commutator - np.diag(np.diag(commutator)))
     return tuple(float(v) for v in np.diag(commutator))
+
+
+def dense_membership(m, sigma):
+    """membership_test by definition: m @ E_sigma, the dense product with
+    the unscaled permutation matrix, is diagonal with unit product."""
+    if m.n != sigma.n:
+        raise DimensionMismatch(f"matrix size {m.n} vs permutation on {sigma.n} points")
+    product = m @ ScaledPerm(sigma, (Fraction(1),) * sigma.n).to_dense()
+    return product.is_diagonal() and math.prod(product.diagonal(), start=Fraction(1)) == 1
+
+
+def constructed_random_scaled_perm(n, rng, *, positive=False):
+    """random_scaled_perm through the validating constructors, with the same
+    draws from rng in the same order."""
+    draw = random_positive_rational if positive else random_nonzero_rational
+    head = [draw(rng) for _ in range(n - 1)]
+    product = math.prod(head, start=Fraction(1))
+    image = list(range(1, n + 1))
+    rng.shuffle(image)
+    return ScaledPerm(Permutation(tuple(image)), (*head, 1 / product))
+
+
+def constructed_off_pattern(element, rng):
+    """The classifier's _inject_off_pattern through with_entry, with the
+    same draws from rng in the same order."""
+    n = element.n
+    row = rng.randrange(n) + 1
+    on_column = element.sigma(row)
+    column = rng.choice([j for j in range(1, n + 1) if j != on_column])
+    return element.to_dense().with_entry(row, column, random_nonzero_rational(rng))

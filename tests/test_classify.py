@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from bmsym import (
     DegenerateTuple,
@@ -32,9 +32,10 @@ from bmsym.sampling import (
     random_vector,
     trial_rng,
 )
-from helpers import scaled_perms
+from helpers import nonzero_rationals, permutations, scaled_perms
 from oracles import (
     brute_force_degenerate,
+    dense_membership,
     enumerated_check,
     enumerated_permanent,
     support_scan_degenerate,
@@ -232,6 +233,41 @@ def test_membership_agrees_with_pattern_extraction(p):
         sigma = Permutation(image)
         expected = sigma.inverse() == p.sigma
         assert membership_test(x, sigma) == expected
+
+
+@st.composite
+def membership_cases(draw):
+    """A monomial with unit scale product and its own sigma, then one of:
+    a wrong sigma, a zero row, one extra off-pattern entry, or a scale
+    product other than 1."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    p = draw(scaled_perms(n=n))
+    rows = [list(row) for row in p.to_dense().rows]
+    sigma = p.sigma.inverse()
+    kind = draw(st.sampled_from(("member", "sigma", "zero_row", "off_pattern", "scale")))
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    on = p.sigma.image[i] - 1
+    if kind == "sigma":
+        sigma = draw(permutations(min_n=n, max_n=n))
+    elif kind == "zero_row":
+        rows[i] = [F(0)] * n
+    elif kind == "off_pattern" and n > 1:
+        off = draw(st.sampled_from([j for j in range(n) if j != on]))
+        rows[i][off] = draw(nonzero_rationals)
+    elif kind == "scale":
+        rows[i][on] *= draw(nonzero_rationals.filter(lambda v: v != 1))
+    return kind, RationalMatrix(rows), sigma
+
+
+@given(membership_cases())
+def test_membership_matches_the_dense_product(case):
+    kind, m, sigma = case
+    member = membership_test(m, sigma)
+    assert member == dense_membership(m, sigma)
+    if kind == "member" or kind == "off_pattern" and m.n == 1:
+        assert member
+    elif kind != "sigma":
+        assert not member
 
 
 # affine classification

@@ -153,6 +153,13 @@ def test_malformed_json_is_exit_2():
     assert "error" in result.stderr
 
 
+def test_unit_product_below_the_float_range_is_exit_2():
+    result = run_cli("components", "--input", '{"n":3,"diag":[1e-200,1e-200,1.0]}')
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: entry product is below the float range, expected 1\n"
+
+
 def test_missing_file_is_exit_2():
     result = run_cli("classify", "--matrix", "no_such_file.json")
     assert result.returncode == 2

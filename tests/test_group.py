@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bmsym import (
     AffineSymmetry,
@@ -228,6 +228,7 @@ def test_metric_beyond_the_float_range_of_the_product():
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=10**6),
                           st.integers(min_value=-300, max_value=300)), min_size=2, max_size=1500))
+@example(parts=[(1, -16), (1, -300), (1, 9)])  # a subnormal partial product, normal again
 def test_metric_matches_the_mean_log_of_the_coordinates(parts):
     # most of these products leave the float range; the root never does
     y = [F(m) * F(10) ** e for m, e in parts]

@@ -55,6 +55,17 @@ def test_unit_product_check_cannot_overflow_midway():
         DiagonalGroupElement((1e200, 1e200, 1e-200))
 
 
+def test_unit_product_error_names_a_product_beyond_the_float_range():
+    with pytest.raises(UnitProductViolation, match="entry product is below the float range"):
+        DiagonalGroupElement((1e-200, 1e-200, 1.0))
+    with pytest.raises(UnitProductViolation, match="entry product is above the float range"):
+        DiagonalGroupElement((1e200, -1e200, 1.0))
+    with pytest.raises(UnitProductViolation, match="entry product is 4.0, expected 1"):
+        DiagonalGroupElement((2.0, 2.0, 1.0))
+    with pytest.raises(UnitProductViolation, match="entry product is inf, expected 1"):
+        DiagonalGroupElement((math.inf, 1.0))
+
+
 def test_group_element_rejects_non_finite_entries():
     with pytest.raises(UnitProductViolation):
         DiagonalGroupElement((math.inf, 1.0))

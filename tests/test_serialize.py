@@ -27,7 +27,6 @@ from bmsym.serialize import (
     format_rational,
     loads,
     matrix_from_obj,
-    matrix_to_obj,
     oracle_report_to_obj,
     parse_rational,
     report_to_obj,
@@ -35,9 +34,32 @@ from bmsym.serialize import (
     tdiag_to_obj,
     vector_from_obj,
     vector_to_obj,
-    witness_from_obj,
     witness_to_obj,
 )
+from bmsym.serialize import _require_dict, _require_list
+
+
+# The inverses of matrix_from_obj and witness_to_obj, which no subcommand
+# needs: they live here, next to the round trips that use them.
+
+
+def matrix_to_obj(matrix):
+    return {"n": matrix.n, "rows": [[format_rational(v) for v in row] for row in matrix.rows]}
+
+
+def witness_from_obj(obj):
+    obj = _require_dict(obj, "witness")
+    kind = obj.get("kind")
+    if kind == "degenerate_tuple":
+        indices = _require_list(obj.get("tuple"), '"tuple"')
+        for value in indices:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise MalformedInput(f'"tuple" entries must be positive integers, got {value!r}')
+        return DegenerateTuple(tuple(indices), parse_rational(obj.get("product")))
+    if kind == "permanent":
+        return PermanentMismatch(parse_rational(obj.get("value")))
+    raise MalformedInput(f"unknown witness kind {kind!r}")
+
 
 ELEMENT = AffineSymmetry(
     ScaledPerm(Permutation((2, 3, 1)), (F(2), F(3), F(1, 6))),

@@ -7,8 +7,20 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from bmsym import AffineSymmetry, Permutation, RationalMatrix, ScaledPerm, metric_power
+from bmsym import (
+    AffineSymmetry,
+    Permutation,
+    RationalMatrix,
+    ScaledPerm,
+    Symmetry,
+    classify_affine,
+    invariance_system_check,
+    metric_power,
+)
+from bmsym.classify import _inject_off_pattern
+from bmsym.sampling import random_scaled_perm, trial_rng
 from helpers import affine_symmetries, permutations, rationals, scaled_perms, vectors
+from oracles import constructed_off_pattern, constructed_random_scaled_perm
 
 DIMS = st.integers(min_value=1, max_value=8)
 
@@ -111,3 +123,35 @@ def test_images_and_metric_powers_are_in_lowest_terms(case):
     a, m, y = case
     assert exact(a.apply(y)) and exact(a.linear.apply(y)) and exact(m.apply(y))
     assert exact((metric_power(y), metric_power(a.linear.apply(y))))
+
+
+@given(st.integers(min_value=2, max_value=8).flatmap(lambda n: affine_symmetries(n=n)))
+def test_verdicts_revalidate(a):
+    report = invariance_system_check(a.linear.to_dense())
+    assert type(report) is Symmetry
+    assert_valid_scaled(ScaledPerm(report.sigma, report.scale))
+    assert report.sigma == a.linear.sigma and report.scale == a.linear.scale
+    verdict = classify_affine(a.linear.to_dense(), [str(v) for v in a.translation])
+    assert_valid_affine(verdict)
+    assert verdict == a
+
+
+@given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=2, max_value=8), st.booleans())
+def test_sampled_elements_and_perturbed_matrices_revalidate(seed, index, n, positive):
+    element = random_scaled_perm(n, trial_rng(seed, index), positive=positive)
+    assert_valid_scaled(element)
+    assert_valid_matrix(_inject_off_pattern(element, trial_rng(seed, index)))
+
+
+def test_sampling_makes_the_draws_of_the_constructor_path():
+    # the same elements and perturbed matrices from the same stream, which
+    # is left in the same state, so every oracle trial replays
+    for seed in range(200):
+        for n in range(2, 9):
+            for positive in (False, True):
+                rng, reference = trial_rng(seed, n), trial_rng(seed, n)
+                element = random_scaled_perm(n, rng, positive=positive)
+                assert element == constructed_random_scaled_perm(n, reference, positive=positive)
+                assert _inject_off_pattern(element, rng) == constructed_off_pattern(element, reference)
+                assert rng.getstate() == reference.getstate()
