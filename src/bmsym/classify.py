@@ -255,13 +255,13 @@ def witness_violates(
     raise TypeError(f"unknown witness type: {witness!r}")
 
 
-def _inject_off_pattern(element: ScaledPerm, rng) -> RationalMatrix:
-    """Dense form of element with one extra nonzero entry off the pattern."""
+def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng) -> RationalMatrix:
+    """``dense``, element's dense form, with one extra nonzero entry off the pattern."""
     n = element.n
     row = rng.randrange(n) + 1
     on_column = element.sigma(row)
     column = rng.choice([j for j in range(1, n + 1) if j != on_column])
-    rows = list(element.to_dense().rows)
+    rows = list(dense.rows)
     entries = rows[row - 1]
     rows[row - 1] = entries[: column - 1] + (random_nonzero_rational(rng),) + entries[column:]
     return _unchecked(RationalMatrix, n=n, rows=tuple(rows))
@@ -288,14 +288,15 @@ def theorem_oracle(
     for index in range(trials):
         rng = trial_rng(seed, index)
         element = random_scaled_perm(n, rng)
-        report = invariance_system_check(element.to_dense(), max_n=max_n)
+        dense = element.to_dense()
+        report = invariance_system_check(dense, max_n=max_n)
         if (
             isinstance(report, Symmetry)
             and report.sigma == element.sigma
             and report.scale == element.scale
         ):
             positives_passed += 1
-        perturbed = _inject_off_pattern(element, rng)
+        perturbed = _inject_off_pattern(element, dense, rng)
         perturbed_report = invariance_system_check(perturbed, max_n=max_n)
         if isinstance(perturbed_report, Violation) and witness_violates(
             perturbed, perturbed_report.witness, max_n=max_n

@@ -54,12 +54,9 @@ class ScaledPerm:
             )
         if any(v == 0 for v in scale):
             raise ZeroScale("scale entries must be nonzero")
-        numerator = math.prod(v.numerator for v in scale)
-        denominator = math.prod(v.denominator for v in scale)
-        if numerator != denominator:
-            raise UnitProductViolation(
-                f"scale product is {Fraction(numerator, denominator)}, expected 1"
-            )
+        product = _prod(scale)
+        if product != 1:
+            raise UnitProductViolation(f"scale product is {product}, expected 1")
 
     @property
     def n(self) -> int:

@@ -21,6 +21,7 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
+from .matrix import _add, _inv, _mul, _neg, _prod, as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,25 +38,11 @@ def _as_number(value):
     return Fraction(value)
 
 
-def _ratio_product(values) -> tuple[int, int]:
-    """The exact product of ``values`` as (numerator, denominator).
-
-    Floats convert exactly to integer ratios, so no partial product can
-    overflow the way a float product does; an infinite or NaN entry has no
-    ratio and raises OverflowError or ValueError.
-    """
-    num = den = 1
-    for v in values:
-        p, q = v.as_integer_ratio()
-        num, den = num * p, den * q
-    return num, den
-
-
 def _near_unit_product(values) -> bool:
     """Whether the exact product of ``values`` lies within TOLERANCE of 1;
     false when an entry is infinite or NaN."""
     try:
-        num, den = _ratio_product(values)
+        num, den = _prod(values).as_integer_ratio()
     except (OverflowError, ValueError):
         return False
     tol_num, tol_den = TOLERANCE.as_integer_ratio()
@@ -80,8 +67,8 @@ class DiagonalGroupElement:
         if not _near_unit_product(diag):
             product = math.prod(diag)
             if not 0 < abs(product) < math.inf and all(map(math.isfinite, diag)):
-                num, den = _ratio_product(diag)  # the float product left the range
-                product = f"{'above' if abs(num) > den else 'below'} the float range"
+                # the float product left the range; the exact one says which way
+                product = f"{'above' if abs(_prod(diag)) > 1 else 'below'} the float range"
             raise UnitProductViolation(f"entry product is {product}, expected 1")
 
     @property
@@ -168,10 +155,10 @@ def dn1_new(first) -> DiagonalGroupElement:
         raise DimensionMismatch("need at least one leading entry")
     if any(v == 0 for v in entries):
         raise ZeroCoordinate("chart coordinates must be nonzero")
-    num, den = _ratio_product(entries)
+    last = _inv(_prod(entries))
     if any(isinstance(v, float) for v in entries):
-        return DiagonalGroupElement((*entries, den / num))
-    return DiagonalGroupElement((*entries, Fraction(den, num)))
+        last = float(last)
+    return DiagonalGroupElement((*entries, last))
 
 
 def chart(a: DiagonalGroupElement) -> tuple:
@@ -211,35 +198,17 @@ def basis(n: int, i: int) -> TracelessDiagonal:
 
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
-    """Commutator XY - YX computed on the dense float matrices; diagonal
-    matrices commute."""
+    """Commutator XY - YX of the diagonal matrices, entry by entry: the
+    i-th entry is x_i y_i - y_i x_i, formed exactly on the integer ratios,
+    so it is 0.0 at every magnitude (diagonal matrices commute)."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes differ: {x.n} vs {y.n}")
-    dense_x = _dense_diagonal(x)
-    dense_y = _dense_diagonal(y)
-    commutator = [
-        [p - q for p, q in zip(row_xy, row_yx)]
-        for row_xy, row_yx in zip(_matmul(dense_x, dense_y), _matmul(dense_y, dense_x))
-    ]
-    if any(v for i, row in enumerate(commutator) for j, v in enumerate(row) if i != j):
-        raise RuntimeError("commutator of diagonal matrices is not diagonal")
-    return TracelessDiagonal(tuple(row[i] for i, row in enumerate(commutator)))
-
-
-def _dense_diagonal(x: TracelessDiagonal) -> list[list[float]]:
-    return [[float(v) if i == j else 0.0 for j in range(x.n)] for i, v in enumerate(x.diag)]
-
-
-def _matmul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    """Dense product that skips zero entries, like RationalMatrix.__matmul__."""
-    out = [[0.0] * len(a) for _ in a]
-    for row, acc in zip(a, out):
-        for u, b_row in zip(row, b):
-            if u:
-                for j, v in enumerate(b_row):
-                    if v:
-                        acc[j] += u * v
-    return out
+    return TracelessDiagonal(
+        tuple(
+            float(_add(_mul(a, b), _neg(_mul(b, a))))
+            for a, b in zip(map(Fraction, x.diag), map(Fraction, y.diag))
+        )
+    )
 
 
 def _structure_lists(n: int) -> list[list[list[float]]]:
@@ -264,9 +233,9 @@ def _structure_lists(n: int) -> list[list[list[float]]]:
 def structure_constants(n: int) -> np.ndarray:
     """Tensor c[i, j, k] with [E_i, E_j] = sum_k c[i, j, k] E_k.
 
-    Computed by expanding each dense commutator in the basis (coefficients
-    read off positions 1..n-1), not assumed; the algebra is abelian, so the
-    result is the zero tensor.
+    Computed by expanding the bracket of each basis pair in the basis
+    (coefficients read off positions 1..n-1), not assumed; the algebra is
+    abelian, so the result is the zero tensor.
     """
     tensor = _structure_lists(n)
     import numpy as np  # imported here so that only this function loads numpy
@@ -285,7 +254,6 @@ def as_scaled_perm(a: DiagonalGroupElement) -> ScaledPerm:
     Requires rational entries with exact unit product; floats are rejected.
     """
     from .group import ScaledPerm
-    from .matrix import as_fraction
     from .permutation import Permutation
 
     scale = tuple(as_fraction(v) for v in a.diag)

@@ -7,13 +7,14 @@ because validity follows by algebra.  Every stored entry is exactly a
 ``Fraction`` either way.
 
 Scalar kernels: ``_mul``, ``_inv``, ``_add``, ``_neg`` and ``_prod`` do the
-arithmetic of those operations, and take validated ``Fraction``s only.  They
-read each operand's integer ratio through ``as_integer_ratio`` and build
-each result through ``_fraction`` from a ratio already in lowest terms with
-a positive denominator, so nothing is type-checked or reduced twice.  Each
-returns exactly the ``Fraction`` (value, numerator, denominator, hash and
-type) that the operator it replaces returns; ``_inv`` raises
-``ZeroDivisionError`` on 0.
+arithmetic of those operations (and of ``group``, ``classify``, ``sampling``
+and ``lie``), and take validated ``Fraction``s; ``_prod`` also takes floats,
+whose integer ratios are exact.  They read each operand's integer ratio
+through ``as_integer_ratio`` and build each result through ``_fraction``
+from a ratio already in lowest terms with a positive denominator, so nothing
+is type-checked or reduced twice.  Each returns exactly the ``Fraction``
+(value, numerator, denominator, hash and type) that the operator it
+replaces returns; ``_inv`` raises ``ZeroDivisionError`` on 0.
 """
 
 from __future__ import annotations
@@ -106,9 +107,11 @@ def _neg(a: Fraction) -> Fraction:
     return _fraction(-n, d)
 
 
-def _prod(values: Iterable[Fraction]) -> Fraction:
-    """The product of ``values`` (1 when empty): the product of the
-    numerators over that of the denominators, reduced by one gcd."""
+def _prod(values: Iterable[Fraction | float]) -> Fraction:
+    """The exact product of ``values`` (1 when empty): the product of the
+    numerators over that of the denominators, reduced by one gcd.  A float
+    enters as its exact integer ratio, so no partial product overflows; an
+    infinite or NaN float raises OverflowError or ValueError."""
     numerator = denominator = 1
     for v in values:
         n, d = v.as_integer_ratio()
@@ -188,16 +191,6 @@ class RationalMatrix:
             reduce(_add, (_mul(a, x) for a, x in zip(row, vec) if a), ZERO) for row in self.rows
         )
 
-    def det(self) -> Fraction:
-        """Determinant by cofactor expansion; zero entries are skipped."""
-        return _cofactor_det(self.rows)
-
-    def is_diagonal(self) -> bool:
-        return all(not v for i, row in enumerate(self.rows) for j, v in enumerate(row) if i != j)
-
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.rows == other.rows
 
@@ -208,16 +201,3 @@ class RationalMatrix:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)
         return f"RationalMatrix[{body}]"
 
-
-def _cofactor_det(rows: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j, coefficient in enumerate(rows[0]):
-        if not coefficient:
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
-        term = coefficient * _cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total

@@ -4,7 +4,8 @@ The enumerations follow the definition directly and cost n! or n^n, so
 they only run on small matrices in the tests; membership is checked against
 the dense product it reads off, the samplers against the same draws built
 through the validating constructors, and the Lie bracket against numpy's
-dense matrix products.
+dense matrix products.  The determinant and the diagonal read-off of a
+RationalMatrix live here too, since only the tests use them.
 """
 
 import itertools
@@ -88,13 +89,40 @@ def numpy_bracket(x, y):
     return tuple(float(v) for v in np.diag(commutator))
 
 
+def cofactor_det(m):
+    """Determinant of a RationalMatrix by cofactor expansion along the first
+    row; zero entries are skipped."""
+    return _cofactor_det(m.rows)
+
+
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Fraction(0)
+    for j, coefficient in enumerate(rows[0]):
+        if not coefficient:
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
+        term = coefficient * _cofactor_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def is_diagonal(m):
+    return all(not v for i, row in enumerate(m.rows) for j, v in enumerate(row) if i != j)
+
+
+def diagonal(m):
+    return tuple(m.rows[i][i] for i in range(m.n))
+
+
 def dense_membership(m, sigma):
     """membership_test by definition: m @ E_sigma, the dense product with
     the unscaled permutation matrix, is diagonal with unit product."""
     if m.n != sigma.n:
         raise DimensionMismatch(f"matrix size {m.n} vs permutation on {sigma.n} points")
     product = m @ ScaledPerm(sigma, (Fraction(1),) * sigma.n).to_dense()
-    return product.is_diagonal() and math.prod(product.diagonal(), start=Fraction(1)) == 1
+    return is_diagonal(product) and math.prod(diagonal(product), start=Fraction(1)) == 1
 
 
 def constructed_random_scaled_perm(n, rng, *, positive=False):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -28,6 +29,7 @@ from bmsym import (
     mu,
     structure_constants,
 )
+from bmsym.lie import _structure_lists
 
 TOL = 1e-12
 
@@ -262,6 +264,20 @@ def test_bracket_random_pairs_zero():
         head = [rng.uniform(-2, 2) for _ in range(3)]
         y = TracelessDiagonal(tuple(head) + (-sum(head),))
         assert all(v == 0.0 for v in bracket(x, y).diag)
+
+
+def test_bracket_is_exact_at_every_magnitude():
+    # the float products x_i * y_i of these entries overflow or underflow;
+    # the exact commutator is still 0.0 in every entry
+    entries = [(1e200, -1e200), (1e308, -1e308), (5e-324, -5e-324)]
+    for x, y in itertools.product(map(TracelessDiagonal, entries), repeat=2):
+        assert [repr(v) for v in bracket(x, y).diag] == ["0.0", "0.0"]
+
+
+def test_structure_lists_are_float_zeros():
+    for n in range(2, 11):
+        zeros = [[[0.0] * (n - 1) for _ in range(n - 1)] for _ in range(n - 1)]
+        assert repr(_structure_lists(n)) == repr(zeros)
 
 
 def test_structure_constants_zero():

