@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, MalformedInput
+from .errors import DEFAULT_MAX_N, DimensionCapExceeded, MalformedInput
 from .permutation import Permutation
 from .serialize import (
     _require_n,
@@ -83,13 +83,7 @@ def _cmd_classify(args) -> tuple[object, int]:
     from .classify import Symmetry, invariance_system_check
 
     matrix = matrix_from_obj(_load(args.matrix))
-    translation = None
-    if args.y is not None:
-        translation = vector_from_obj(_load(args.y), "--y")
-        if len(translation) != matrix.n:
-            raise DimensionMismatch(
-                f"translation length {len(translation)} for a {matrix.n}x{matrix.n} matrix"
-            )
+    translation = None if args.y is None else vector_from_obj(_load(args.y), "--y", matrix.n)
     report = invariance_system_check(matrix, max_n=args.max_n)
     payload = report_to_obj(report, translation)
     return payload, 0 if isinstance(report, Symmetry) else 1

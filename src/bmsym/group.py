@@ -183,6 +183,8 @@ def metric(y: Sequence) -> float:
     sign, and the root comes from the coordinates' mantissas and exponents.
     """
     values = [float(v) for v in y]
+    if 0.0 in values and 0 not in y:
+        raise OverflowError("a nonzero coordinate is below the float range")
     n = len(values)
     if n < 2:
         raise DimensionMismatch("the metric needs n >= 2 coordinates")

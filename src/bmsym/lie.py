@@ -148,7 +148,8 @@ def dn1_new(first) -> DiagonalGroupElement:
     """Element from its first n-1 entries; the last is the reciprocal product.
 
     The product is formed exactly, so it cannot overflow midway; the last
-    entry is a float, rounded once, when any leading entry is a float.
+    entry is a float, rounded once, when any leading entry is a float, and
+    must then lie in the float range.
     """
     entries = tuple(_as_number(v) for v in first)
     if not entries:
@@ -157,7 +158,12 @@ def dn1_new(first) -> DiagonalGroupElement:
         raise ZeroCoordinate("chart coordinates must be nonzero")
     last = _inv(_prod(entries))
     if any(isinstance(v, float) for v in entries):
-        last = float(last)
+        try:
+            last = float(last)
+        except OverflowError:
+            last = math.inf
+        if last == 0 or math.isinf(last):
+            raise UnitProductViolation(f"last entry is {'above' if last else 'below'} the float range")
     return DiagonalGroupElement((*entries, last))
 
 

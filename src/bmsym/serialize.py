@@ -5,6 +5,12 @@ codec inserts them, separators are compact, rationals are lowest-terms
 "p" or "p/q" strings, floats go through repr-faithful '%.17g'.  Parsers
 reject anything that does not match the documented shapes with
 MalformedInput so the CLI can map the whole family to one exit code.
+
+Each input is checked once, by the reader for its shape: ``_require_list``
+checks every array's type and length, ``vector_from_obj`` reads every
+rational array, and the constructors add the algebraic conditions (a
+bijection, a unit product, a zero trace).  A parsed matrix holds exactly the
+``Fraction``s its reader built, so it is built with ``_unchecked``.
 The classifier and Lie record types are imported inside the functions that
 use them, so the group subcommands load neither layer.
 """
@@ -19,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import MalformedInput
 from .group import AffineSymmetry, ScaledPerm
-from .matrix import RationalMatrix, as_fraction
+from .matrix import RationalMatrix, _unchecked
 from .permutation import Permutation
 
 if TYPE_CHECKING:
@@ -30,7 +36,6 @@ _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def format_rational(value: Fraction) -> str:
-    value = as_fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -44,13 +49,6 @@ def parse_rational(text) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise MalformedInput(f"not a rational literal: {text!r}")
     return Fraction(text)
-
-
-def format_float(value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise MalformedInput(f"non-finite value {value!r} cannot be serialized")
-    return value
 
 
 def parse_number(value) -> float:
@@ -103,9 +101,12 @@ def _require_dict(obj, what: str) -> dict:
     return obj
 
 
-def _require_list(obj, what: str) -> list:
+def _require_list(obj, what: str, n: int | None = None) -> list:
+    """``obj`` when it is a JSON array, of length ``n`` when ``n`` is given."""
     if not isinstance(obj, list):
         raise MalformedInput(f"{what} must be a JSON array, got {type(obj).__name__}")
+    if n is not None and len(obj) != n:
+        raise MalformedInput(f"{what} has length {len(obj)}, expected {n}")
     return obj
 
 
@@ -117,23 +118,11 @@ def _require_n(obj: dict, default=None) -> int:
 
 
 def permutation_from_obj(obj, n: int) -> Permutation:
-    image = _require_list(obj, '"sigma"')
-    if len(image) != n:
-        raise MalformedInput(f'"sigma" has length {len(image)}, expected {n}')
-    for value in image:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MalformedInput(f'"sigma" entries must be integers, got {value!r}')
+    image = tuple(_require_list(obj, '"sigma"', n))
     try:
-        return Permutation(tuple(image))
-    except ValueError as exc:
+        return Permutation(image)
+    except (TypeError, ValueError) as exc:
         raise MalformedInput(str(exc)) from exc
-
-
-def _rational_vector_from_obj(obj, what: str, n: int) -> tuple[Fraction, ...]:
-    values = _require_list(obj, what)
-    if len(values) != n:
-        raise MalformedInput(f"{what} has length {len(values)}, expected {n}")
-    return tuple(parse_rational(v) for v in values)
 
 
 def element_to_obj(element: AffineSymmetry | ScaledPerm) -> dict:
@@ -152,11 +141,8 @@ def element_from_obj(obj) -> AffineSymmetry:
     obj = _require_dict(obj, "element")
     n = _require_n(obj)
     sigma = permutation_from_obj(obj.get("sigma"), n)
-    scale = _rational_vector_from_obj(obj.get("scale"), '"scale"', n)
-    if "translation" in obj:
-        translation = _rational_vector_from_obj(obj["translation"], '"translation"', n)
-    else:
-        translation = (Fraction(0),) * n
+    scale = vector_from_obj(obj.get("scale"), '"scale"', n)
+    translation = vector_from_obj(obj.get("translation", [0] * n), '"translation"', n)
     try:
         return AffineSymmetry(ScaledPerm(sigma, scale), translation)
     except ValueError as exc:
@@ -166,63 +152,52 @@ def element_from_obj(obj) -> AffineSymmetry:
 def matrix_from_obj(obj) -> RationalMatrix:
     obj = _require_dict(obj, "matrix")
     n = _require_n(obj)
-    rows = _require_list(obj.get("rows"), '"rows"')
-    if len(rows) != n:
-        raise MalformedInput(f'"rows" has {len(rows)} rows, expected {n}')
-    parsed = []
-    for row in rows:
-        row = _require_list(row, "matrix row")
-        if len(row) != n:
-            raise MalformedInput(f"matrix row has length {len(row)}, expected {n}")
-        parsed.append(tuple(parse_rational(v) for v in row))
-    return RationalMatrix(tuple(parsed))
+    rows = tuple(
+        vector_from_obj(row, "matrix row", n) for row in _require_list(obj.get("rows"), '"rows"', n)
+    )
+    return _unchecked(RationalMatrix, n=n, rows=rows)
 
 
 def vector_to_obj(vector) -> list:
     return [format_rational(v) for v in vector]
 
 
-def vector_from_obj(obj, what: str = "vector") -> tuple[Fraction, ...]:
-    values = _require_list(obj, what)
+def vector_from_obj(obj, what: str = "vector", n: int | None = None) -> tuple[Fraction, ...]:
+    """The exact values of a non-empty rational array, of length ``n`` if given."""
+    values = _require_list(obj, what, n)
     if not values:
         raise MalformedInput(f"{what} must not be empty")
     return tuple(parse_rational(v) for v in values)
 
 
+def _diagonal_from_obj(obj, what: str, key: str, cls):
+    """A ``cls`` of the finite numbers under ``key``, an array of length "n"."""
+    obj = _require_dict(obj, what)
+    values = _require_list(obj.get(key), f'"{key}"', _require_n(obj))
+    try:
+        return cls(tuple(parse_number(v) for v in values))
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
+
+
 def diag_to_obj(element: DiagonalGroupElement) -> dict:
-    return {"n": element.n, "diag": [format_float(float(v)) for v in element.diag]}
+    return {"n": element.n, "diag": [float(v) for v in element.diag]}
 
 
 def diag_from_obj(obj) -> DiagonalGroupElement:
     from .lie import DiagonalGroupElement
 
-    obj = _require_dict(obj, "group element")
-    n = _require_n(obj)
-    values = _require_list(obj.get("diag"), '"diag"')
-    if len(values) != n:
-        raise MalformedInput(f'"diag" has length {len(values)}, expected {n}')
-    try:
-        return DiagonalGroupElement(tuple(parse_number(v) for v in values))
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+    return _diagonal_from_obj(obj, "group element", "diag", DiagonalGroupElement)
 
 
 def tdiag_to_obj(element: TracelessDiagonal) -> dict:
-    return {"n": element.n, "tdiag": [format_float(float(v)) for v in element.diag]}
+    return {"n": element.n, "tdiag": [float(v) for v in element.diag]}
 
 
 def tdiag_from_obj(obj) -> TracelessDiagonal:
     from .lie import TracelessDiagonal
 
-    obj = _require_dict(obj, "algebra element")
-    n = _require_n(obj)
-    values = _require_list(obj.get("tdiag"), '"tdiag"')
-    if len(values) != n:
-        raise MalformedInput(f'"tdiag" has length {len(values)}, expected {n}')
-    try:
-        return TracelessDiagonal(tuple(parse_number(v) for v in values))
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+    return _diagonal_from_obj(obj, "algebra element", "tdiag", TracelessDiagonal)
 
 
 def witness_to_obj(witness) -> dict:

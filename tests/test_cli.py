@@ -209,6 +209,12 @@ def test_metric_beyond_float_range_is_exit_2():
     _assert_one_line_input_error(run_cli("metric", "--y", json.dumps(["1" + "0" * 399, "1"])))
 
 
+def test_metric_below_float_range_is_exit_2():
+    result = run_cli("metric", "--y", json.dumps(["1/1" + "0" * 340, "1"]))
+    _assert_one_line_input_error(result)
+    assert "below the float range" in result.stderr
+
+
 def test_metric_of_a_product_beyond_float_range_in_process(capsys):
     # the float products are inf and 0.0; the roots 1e200 and 1e-200 are not
     for coordinate, root in ((str(10**200), 1e200), (f"1/{10**200}", 1e-200)):

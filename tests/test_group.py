@@ -254,6 +254,13 @@ def test_metric_coordinate_beyond_float_range_still_overflows():
         metric((F(10**400), F(1)))
 
 
+def test_metric_coordinate_below_float_range_overflows():
+    # the coordinate's float is 0.0, which would make the root 0.0, not 1
+    with pytest.raises(OverflowError, match="below the float range"):
+        metric((F(1, 10**400), F(10**200), F(10**200)))
+    assert metric((0, F(1, 10**400))) == 0.0  # an exact zero still gives 0.0
+
+
 # properties
 
 

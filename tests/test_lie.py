@@ -128,6 +128,16 @@ def test_dn1_new_cannot_overflow_midway():
     assert dn1_new((F(10**200), F(10**200))).diag[2] == F(1, 10**400)  # rationals stay exact
 
 
+def test_dn1_new_last_entry_outside_float_range():
+    # the exact last entries are 1e400 and 1e-400, which no float holds
+    with pytest.raises(UnitProductViolation, match="last entry is above the float range"):
+        dn1_new((1e-200, 1e-200))
+    with pytest.raises(UnitProductViolation, match="last entry is below the float range"):
+        dn1_new((1e200, 1e200))
+    with pytest.raises(UnitProductViolation, match="last entry is below the float range"):
+        dn1_new((-1e200, 1e200))
+
+
 def test_dn1_new_rejects_zero():
     with pytest.raises(ZeroCoordinate):
         dn1_new((F(2), F(0)))

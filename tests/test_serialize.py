@@ -18,6 +18,7 @@ from bmsym import (
     TracelessDiagonal,
     Violation,
 )
+from bmsym.cli import build_parser
 from bmsym.serialize import (
     canonical_dumps,
     diag_from_obj,
@@ -154,6 +155,30 @@ def test_matrix_rejections():
         matrix_from_obj({"n": 2, "rows": [["1", "0"], ["0"]]})
     with pytest.raises(MalformedInput):
         matrix_from_obj({"n": 2, "rows": [["1", "0"], ["0", 0.5]]})
+
+
+MATRIX = '{"n":3,"rows":[["0","2","0"],["0","0","3"],["1/6","0","0"]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["inverse", "--input", '{"n":3,"sigma":[2,3],"scale":["2","3","1/6"]}'],
+                 id="sigma"),
+    pytest.param(["membership", "--matrix", MATRIX, "--sigma", "[3,1]"], id="bare-sigma"),
+    pytest.param(["inverse", "--input", '{"n":3,"sigma":[2,3,1],"scale":["2","3"]}'], id="scale"),
+    pytest.param(["inverse", "--input",
+                  '{"n":3,"sigma":[2,3,1],"scale":["2","3","1/6"],"translation":["1"]}'],
+                 id="translation"),
+    pytest.param(["classify", "--matrix", '{"n":2,"rows":[["1","0"]]}'], id="rows"),
+    pytest.param(["classify", "--matrix", '{"n":2,"rows":[["1","0"],["0"]]}'], id="row"),
+    pytest.param(["classify", "--matrix", MATRIX, "--y", '["1","0"]'], id="y"),
+    pytest.param(["lie-log", "--input", '{"n":3,"diag":[2.0,0.5]}'], id="diag"),
+    pytest.param(["lie-exp", "--input", '{"n":3,"tdiag":[1.0,-1.0]}'], id="tdiag"),
+])
+def test_wrong_length_arrays_are_malformed(argv):
+    # each array is checked by its reader, through the subcommand that reads it
+    args = build_parser().parse_args(argv)
+    with pytest.raises(MalformedInput, match="has length"):
+        args.handler(args)
 
 
 def test_vector_round_trip():

@@ -19,6 +19,7 @@ from bmsym import (
 )
 from bmsym.classify import _inject_off_pattern
 from bmsym.sampling import random_scaled_perm, trial_rng
+from bmsym.serialize import matrix_from_obj
 from helpers import affine_symmetries, permutations, rationals, scaled_perms, vectors
 from oracles import constructed_off_pattern, constructed_random_scaled_perm
 
@@ -109,6 +110,30 @@ def test_dense_forms_and_their_products_revalidate(pair):
 def test_dense_products_revalidate(pair):
     a, b = pair
     assert_valid_matrix(a @ b)
+
+
+# rational literals as the codec accepts them: JSON integers, unreduced
+# fractions, signed zeros, leading zeros and a trailing newline
+literals = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["0", "-0", "-0/3", "007", "5\n"]),
+)
+
+
+@st.composite
+def matrix_documents(draw):
+    n = draw(DIMS)
+    rows = draw(st.lists(st.lists(literals, min_size=n, max_size=n), min_size=n, max_size=n))
+    return {"n": n, "rows": rows}
+
+
+@given(matrix_documents())
+def test_parsed_matrices_revalidate(doc):
+    parsed = matrix_from_obj(doc)
+    assert parsed == RationalMatrix([[Fraction(v) for v in row] for row in doc["rows"]])
+    assert_valid_matrix(parsed)
 
 
 @st.composite
