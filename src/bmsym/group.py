@@ -13,8 +13,10 @@ results unchecked: the scales of a product multiply to 1 * 1 and those of an
 inverse to 1 / 1, so validity follows by algebra.  Past the constructors
 every scale, translation and coordinate is an exact ``Fraction``, so the
 group law, the action and ``metric_power`` multiply, invert and add them
-with the scalar kernels of ``matrix`` (``_mul``, ``_inv``, ``_add``,
-``_neg``, ``_prod``), which return the same ``Fraction``s as the operators.
+with the kernels of ``matrix``: the whole-vector ``_scaled_gather`` (the
+product's scales and the action) and ``vec_add``, and the scalar ``_inv``,
+``_neg`` (through ``vec_neg``) and ``_prod``.  All return the same
+``Fraction``s as the operators.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import (
     UnitProductViolation,
     ZeroScale,
 )
-from .matrix import ONE, ZERO, RationalMatrix, _inv, _mul, _prod, _unchecked, as_fraction, as_vector
-from .matrix import vec_add, vec_neg
+from .matrix import ONE, ZERO, RationalMatrix, _inv, _prod, _scaled_gather, _unchecked, as_fraction
+from .matrix import as_vector, vec_add, vec_neg
 from .permutation import Permutation
 
 
@@ -81,7 +83,7 @@ class ScaledPerm:
         if self.n != other.n:
             raise DimensionMismatch(f"cannot compose sizes {self.n} and {other.n}")
         perm = other.sigma.compose(self.sigma)
-        scale = tuple(_mul(a, other.scale[s - 1]) for a, s in zip(self.scale, self.sigma.image))
+        scale = _scaled_gather(self.scale, self.sigma.image, other.scale)
         return _unchecked(ScaledPerm, sigma=perm, scale=scale)
 
     def __mul__(self, other: "ScaledPerm") -> "ScaledPerm":
@@ -107,7 +109,7 @@ class ScaledPerm:
 
     def _act(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         """``apply`` on an already-valid vector of length n."""
-        return tuple(_mul(a, vec[s - 1]) for a, s in zip(self.scale, self.sigma.image))
+        return _scaled_gather(self.scale, self.sigma.image, vec)
 
 
 @dataclass(frozen=True)

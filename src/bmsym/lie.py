@@ -21,7 +21,7 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import _add, _inv, _mul, _neg, _prod, as_fraction
+from .matrix import _add, _inv, _mul, _neg, _prod, _ratio_product, as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,7 +42,7 @@ def _near_unit_product(values) -> bool:
     """Whether the exact product of ``values`` lies within TOLERANCE of 1;
     false when an entry is infinite or NaN."""
     try:
-        num, den = _prod(values).as_integer_ratio()
+        num, den = _ratio_product(values)
     except (OverflowError, ValueError):
         return False
     tol_num, tol_den = TOLERANCE.as_integer_ratio()

@@ -6,15 +6,19 @@ group law and ``to_dense``) build their results with ``_unchecked``,
 because validity follows by algebra.  Every stored entry is exactly a
 ``Fraction`` either way.
 
-Scalar kernels: ``_mul``, ``_inv``, ``_add``, ``_neg`` and ``_prod`` do the
-arithmetic of those operations (and of ``group``, ``classify``, ``sampling``
-and ``lie``), and take validated ``Fraction``s; ``_prod`` also takes floats,
-whose integer ratios are exact.  They read each operand's integer ratio
-through ``as_integer_ratio`` and build each result through ``_fraction``
-from a ratio already in lowest terms with a positive denominator, so nothing
-is type-checked or reduced twice.  Each returns exactly the ``Fraction``
-(value, numerator, denominator, hash and type) that the operator it
-replaces returns; ``_inv`` raises ``ZeroDivisionError`` on 0.
+Kernels: ``_mul``, ``_inv``, ``_add``, ``_neg`` and ``_prod`` do the
+scalar arithmetic of those operations (and of ``group``, ``classify``,
+``sampling`` and ``lie``); ``_scaled_gather`` (the group law and action of
+``group``) and ``vec_add`` do a whole vector in one loop, with no call per
+entry.  They take validated ``Fraction``s and read each integer ratio
+straight from the ``_numerator`` and ``_denominator`` slots (present on
+Python 3.10+), since ``as_integer_ratio`` is a Python-level method call.
+``_prod`` also takes floats, whose integer ratios are exact, so its loop,
+``_ratio_product``, calls ``as_integer_ratio``.  Each result is built from a
+ratio already in lowest terms with a positive denominator, so nothing is
+type-checked or reduced twice, and is exactly the ``Fraction`` (value,
+numerator, denominator, hash and type) that the operator it replaces
+returns; ``_inv`` raises ``ZeroDivisionError`` on 0.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ def _unchecked(cls, **fields):
 
 def _fraction(numerator: int, denominator: int) -> Fraction:
     """``numerator / denominator`` for coprime ints with ``denominator > 0``,
-    unchecked; the only code that touches ``Fraction`` internals (the slots
-    exist on Python 3.10+, and 3.12+ builds its own results this way)."""
+    unchecked."""
     obj = object.__new__(Fraction)
     obj._numerator = numerator
     obj._denominator = denominator
@@ -64,7 +67,7 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
 def _mul(a: Fraction, b: Fraction) -> Fraction:
     """``a * b``: cancel across (a's numerator with b's denominator and the
     converse), so the products are already in lowest terms."""
-    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
     g = math.gcd(na, db)
     if g > 1:
         na //= g
@@ -78,7 +81,7 @@ def _mul(a: Fraction, b: Fraction) -> Fraction:
 
 def _inv(a: Fraction) -> Fraction:
     """``1 / a``; raises ZeroDivisionError when a is 0."""
-    n, d = a.as_integer_ratio()
+    n, d = a._numerator, a._denominator
     if n > 0:
         return _fraction(d, n)
     if n < 0:
@@ -89,7 +92,7 @@ def _inv(a: Fraction) -> Fraction:
 def _add(a: Fraction, b: Fraction) -> Fraction:
     """``a + b``, reducing by the gcd of the denominators first (the method
     of ``Fraction._add``)."""
-    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
     g = math.gcd(da, db)
     if g == 1:
         return _fraction(na * db + da * nb, da * db)
@@ -103,28 +106,72 @@ def _add(a: Fraction, b: Fraction) -> Fraction:
 
 def _neg(a: Fraction) -> Fraction:
     """``-a``."""
-    n, d = a.as_integer_ratio()
-    return _fraction(-n, d)
+    return _fraction(-a._numerator, a._denominator)
 
 
-def _prod(values: Iterable[Fraction | float]) -> Fraction:
-    """The exact product of ``values`` (1 when empty): the product of the
-    numerators over that of the denominators, reduced by one gcd.  A float
-    enters as its exact integer ratio, so no partial product overflows; an
-    infinite or NaN float raises OverflowError or ValueError."""
+def _ratio_product(values: Iterable[Fraction | float]) -> tuple[int, int]:
+    """The exact product of ``values`` as an unreduced ``(numerator,
+    denominator)`` with a positive denominator, ``(1, 1)`` when empty.  A
+    float enters as its exact integer ratio, so no partial product
+    overflows; an infinite or NaN float raises OverflowError or ValueError."""
     numerator = denominator = 1
     for v in values:
         n, d = v.as_integer_ratio()
         numerator *= n
         denominator *= d
+    return numerator, denominator
+
+
+def _prod(values: Iterable[Fraction | float]) -> Fraction:
+    """``_ratio_product`` reduced by one gcd."""
+    numerator, denominator = _ratio_product(values)
     g = math.gcd(numerator, denominator)
     return _fraction(numerator // g, denominator // g)
 
 
+def _scaled_gather(
+    scale: Sequence[Fraction], image: Sequence[int], vec: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """``tuple(scale[i] * vec[image[i] - 1])``, each entry by ``_mul``'s rule."""
+    gcd, new, out = math.gcd, object.__new__, []
+    for a, s in zip(scale, image):
+        b = vec[s - 1]
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+        f = new(Fraction)
+        f._numerator, f._denominator = na * nb, da * db
+        out.append(f)
+    return tuple(out)
+
+
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """``tuple(u[i] + v[i])``, each entry by ``_add``'s rule."""
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(map(_add, u, v))
+    gcd, new, out = math.gcd, object.__new__, []
+    for a, b in zip(u, v):
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            na, da = na * db + da * nb, da * db
+        else:
+            s = da // g
+            na, da = na * (db // g) + nb * s, s * db
+            g = gcd(na, g)
+            if g > 1:
+                na //= g
+                da //= g
+        f = new(Fraction)
+        f._numerator, f._denominator = na, da
+        out.append(f)
+    return tuple(out)
 
 
 def vec_neg(u: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -3,8 +3,9 @@
 The enumerations follow the definition directly and cost n! or n^n, so
 they only run on small matrices in the tests; membership is checked against
 the dense product it reads off, the samplers against the same draws built
-through the validating constructors, and the Lie bracket against numpy's
-dense matrix products.  The determinant and the diagonal read-off of a
+through the validating constructors, the Lie bracket against numpy's
+dense matrix products, and the unit-product tolerance test against the
+``Fraction`` operators.  The determinant and the diagonal read-off of a
 RationalMatrix live here too, since only the tests use them.
 """
 
@@ -87,6 +88,15 @@ def numpy_bracket(x, y):
     commutator = dense_x @ dense_y - dense_y @ dense_x
     assert not np.any(commutator - np.diag(np.diag(commutator)))
     return tuple(float(v) for v in np.diag(commutator))
+
+
+def near_unit_product(values, tolerance):
+    """Whether the product of ``values`` lies within ``tolerance`` of 1, by
+    the ``Fraction`` operators; false when a float entry is infinite or NaN."""
+    if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        return False
+    product = math.prod(map(Fraction, values), start=Fraction(1))
+    return abs(product - 1) <= Fraction(tolerance)
 
 
 def cofactor_det(m):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import numpy_bracket
+from oracles import near_unit_product, numpy_bracket
 
 from bmsym import (
     DiagonalGroupElement,
@@ -29,7 +29,7 @@ from bmsym import (
     mu,
     structure_constants,
 )
-from bmsym.lie import _structure_lists
+from bmsym.lie import TOLERANCE, _near_unit_product, _structure_lists
 
 TOL = 1e-12
 
@@ -317,6 +317,41 @@ def test_bracket_matches_numpy_dense_commutator(data, n, entries):
     assert tensor.shape == (n - 1,) * 3
     assert tensor.dtype == float
     assert not tensor.any()
+
+
+# the unit-product tolerance test, against the Fraction operators
+
+edge_floats = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf]
+        + [math.nan, 1.0, 1.0 + TOLERANCE, 1.0 - TOLERANCE, -1.0]
+    ),
+)
+
+
+@st.composite
+def near_unit_lists(draw):
+    """Float, exact or mixed entries; half the time the last entry is plus
+    or minus the reciprocal of the others' product (a float one if any entry
+    is a float), so that the product is near 1 or near -1."""
+    values = draw(st.lists(st.one_of(edge_floats, fractions), max_size=8))
+    if draw(st.booleans()):
+        try:
+            product = math.prod(map(F, values), start=F(1))
+        except (OverflowError, ValueError):
+            return values
+        if product:
+            last = draw(st.sampled_from([1, -1])) / product
+            if any(isinstance(v, float) for v in values):
+                last = float(last) if abs(last) < 2**1000 else math.inf
+            values.append(last)
+    return values
+
+
+@given(near_unit_lists())
+def test_near_unit_product_matches_the_operator_oracle(values):
+    assert _near_unit_product(values) is near_unit_product(values, TOLERANCE)
 
 
 # components and the crossover to the exact group

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bmsym import NotSquare, RationalMatrix, as_fraction, as_vector
-from bmsym.matrix import _add, _inv, _mul, _neg, _prod
+from bmsym.matrix import _add, _inv, _mul, _neg, _prod, _scaled_gather, vec_add
 from oracles import cofactor_det, diagonal, is_diagonal
 
 
@@ -109,11 +109,32 @@ def assert_same_fraction(got, want):
     assert hash(got) == hash(want)
 
 
-@given(fraction_pairs())
-def test_mul_and_add_kernels_match_the_operators(pair):
-    a, b = pair
-    assert_same_fraction(_mul(a, b), a * b)
-    assert_same_fraction(_add(a, b), a + b)
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of fraction pairs, about a quarter of the second's entries
+    zero, and a random permutation image of 1..n."""
+    pairs = draw(st.lists(fraction_pairs(), min_size=1, max_size=8))
+    u = tuple(a for a, _ in pairs)
+    v = tuple(Fraction(0) if draw(st.integers(0, 3)) == 0 else b for _, b in pairs)
+    image = tuple(draw(st.permutations(range(1, len(u) + 1))))
+    return u, v, image
+
+
+@given(vector_pairs())
+def test_mul_and_add_kernels_match_the_operators(vectors):
+    u, v, image = vectors
+    for a, b in zip(u, v):
+        assert_same_fraction(_mul(a, b), a * b)
+        assert_same_fraction(_add(a, b), a + b)
+    # the whole-vector kernels, entry by entry
+    gathered = _scaled_gather(u, image, v)
+    assert len(gathered) == len(u)
+    for got, a, s in zip(gathered, u, image):
+        assert_same_fraction(got, a * v[s - 1])
+    added = vec_add(u, v)
+    assert len(added) == len(u)
+    for got, a, b in zip(added, u, v):
+        assert_same_fraction(got, a + b)
 
 
 @given(fractions)
