@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, getitem, sub
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, ScaledPerm
@@ -164,24 +164,26 @@ def degenerate_products_zero(
     return _first_degenerate(matrix, supports)
 
 
+def _pattern(matrix: RationalMatrix, supports: list) -> tuple[Permutation, tuple[Fraction, ...]]:
+    """(sigma, scales) of a monomial J, read off its one-column row supports."""
+    columns = [support[0] for support in supports]
+    scale = tuple(map(getitem, matrix.rows, columns))
+    return _unchecked(Permutation, image=tuple(j + 1 for j in columns)), scale
+
+
 def extract_pattern(matrix: RationalMatrix) -> tuple[Permutation, tuple[Fraction, ...]]:
     """Read (sigma, scales) off a monomial sparsity pattern.
 
     Raises NotMonomial when some row does not have exactly one nonzero entry
     or the nonzero columns repeat.  The scale product is not checked here.
     """
-    image = []
-    scale = []
-    for i, row in enumerate(matrix.rows):
-        nonzero = [(j, v) for j, v in enumerate(row) if v]
-        if len(nonzero) != 1:
-            raise NotMonomial(f"row {i + 1} has {len(nonzero)} nonzero entries, expected 1")
-        j, v = nonzero[0]
-        image.append(j + 1)
-        scale.append(v)
-    if len(set(image)) != matrix.n:
-        raise NotMonomial(f"nonzero columns {image} repeat")
-    return Permutation(tuple(image)), tuple(scale)
+    supports = _supports(matrix)
+    for i, support in enumerate(supports):
+        if len(support) != 1:
+            raise NotMonomial(f"row {i + 1} has {len(support)} nonzero entries, expected 1")
+    if len({support[0] for support in supports}) != matrix.n:
+        raise NotMonomial(f"nonzero columns {[support[0] + 1 for support in supports]} repeat")
+    return _pattern(matrix, supports)
 
 
 def invariance_system_check(
@@ -199,12 +201,11 @@ def invariance_system_check(
     if witness is not None:
         return Violation(witness)
     # J is monomial, and its permanent is the scale product of its pattern.
-    columns = [support[0] for support in supports]
-    scale = tuple(row[j] for row, j in zip(matrix.rows, columns))
+    sigma, scale = _pattern(matrix, supports)
     value = _prod(scale)
     if value != 1:
         return Violation(PermanentMismatch(value))
-    return Symmetry(_unchecked(Permutation, image=tuple(j + 1 for j in columns)), scale)
+    return Symmetry(sigma, scale)
 
 
 def classify_affine(

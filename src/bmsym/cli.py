@@ -14,9 +14,7 @@ import argparse
 import sys
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, MalformedInput
-from .permutation import Permutation
 from .serialize import (
-    _require_n,
     canonical_dumps,
     diag_from_obj,
     diag_to_obj,
@@ -25,8 +23,8 @@ from .serialize import (
     loads,
     matrix_from_obj,
     oracle_report_to_obj,
-    permutation_from_obj,
     report_to_obj,
+    sigma_from_obj,
     tdiag_from_obj,
     tdiag_to_obj,
     vector_from_obj,
@@ -41,13 +39,6 @@ def _load(value: str):
         return loads(text)
     with open(value, "r", encoding="utf-8") as handle:
         return loads(handle.read())
-
-
-def _permutation_argument(obj, fallback_n: int) -> Permutation:
-    """Accept either a bare one-line array or an object with a "sigma" key."""
-    if isinstance(obj, dict):
-        return permutation_from_obj(obj.get("sigma"), _require_n(obj, fallback_n))
-    return permutation_from_obj(obj, fallback_n)
 
 
 def _require_lie_n(n: int) -> None:
@@ -93,7 +84,7 @@ def _cmd_membership(args) -> tuple[object, int]:
     from .classify import membership_test
 
     matrix = matrix_from_obj(_load(args.matrix))
-    sigma = _permutation_argument(_load(args.sigma), matrix.n)
+    sigma = sigma_from_obj(_load(args.sigma), matrix.n)
     member = membership_test(matrix, sigma)
     return {"member": member}, 0 if member else 1
 

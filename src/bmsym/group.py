@@ -147,8 +147,6 @@ class AffineSymmetry:
 
     def compose(self, other: "AffineSymmetry") -> "AffineSymmetry":
         """self after other: apply(compose(s, t), x) == apply(s, apply(t, x))."""
-        if self.n != other.n:
-            raise DimensionMismatch(f"cannot compose sizes {self.n} and {other.n}")
         linear = self.linear.compose(other.linear)
         translation = vec_add(self.linear._act(other.translation), self.translation)
         return _unchecked(AffineSymmetry, linear=linear, translation=translation)

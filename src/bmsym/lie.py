@@ -4,7 +4,8 @@ Group elements are diag(a_1..a_n) with entry product 1; the chart drops the
 last entry, which is redundant.  The tangent space at the identity consists
 of traceless diagonals, with exp/log acting componentwise.  Entries may be
 floats or exact rationals: rational elements keep all group arithmetic
-exact, while exp/log always produce floats.
+exact, while exp/log always produce floats.  The unit product and the zero
+trace hold within TOLERANCE when some entry is a float, exactly otherwise.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def _near_unit_product(values) -> bool:
 
 
 @dataclass(frozen=True)
-class DiagonalGroupElement:
-    """diag(a_1..a_n) with nonzero entries and product 1 (within TOLERANCE)."""
+class _Diagonal:
+    """diag(d_1..d_n), n >= 2; each subclass checks its condition in ``_check``."""
 
     diag: tuple
 
@@ -60,20 +61,27 @@ class DiagonalGroupElement:
         object.__setattr__(self, "diag", diag)
         if len(diag) < 2:
             raise DimensionMismatch("need at least 2 diagonal entries")
+        self._check(diag)
+
+    @property
+    def n(self) -> int:
+        return len(self.diag)
+
+
+class DiagonalGroupElement(_Diagonal):
+    """diag(a_1..a_n), nonzero, product 1 (within TOLERANCE for floats)."""
+
+    def _check(self, diag: tuple) -> None:
         if len({isinstance(v, float) for v in diag}) > 1:
             raise TypeError(f"entries must be all floats or all exact, got {diag!r}")
         if any(v == 0 for v in diag):
             raise ZeroCoordinate("diagonal entries must be nonzero")
-        if not _near_unit_product(diag):
+        if not (_near_unit_product(diag) if isinstance(diag[0], float) else _prod(diag) == 1):
             product = math.prod(diag)
             if not 0 < abs(product) < math.inf and all(map(math.isfinite, diag)):
                 # the float product left the range; the exact one says which way
                 product = f"{'above' if abs(_prod(diag)) > 1 else 'below'} the float range"
             raise UnitProductViolation(f"entry product is {product}, expected 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
 
     @classmethod
     def identity(cls, n: int) -> "DiagonalGroupElement":
@@ -96,31 +104,21 @@ class DiagonalGroupElement:
         return self.multiply(other)
 
 
-@dataclass(frozen=True)
-class TracelessDiagonal:
-    """diag(t_1..t_n) with zero trace (within TOLERANCE); tangent data for exp."""
+class TracelessDiagonal(_Diagonal):
+    """diag(t_1..t_n), trace 0 (within TOLERANCE if any is a float); tangent data for exp."""
 
-    diag: tuple
-
-    def __post_init__(self) -> None:
-        diag = tuple(_as_number(v) for v in self.diag)
-        object.__setattr__(self, "diag", diag)
-        if len(diag) < 2:
-            raise DimensionMismatch("need at least 2 diagonal entries")
+    def _check(self, diag: tuple) -> None:
         trace = sum(diag)
+        tolerance = TOLERANCE if any(isinstance(v, float) for v in diag) else 0
         # "not <=" also fails a NaN or infinite entry, whose trace is NaN or
         # infinite; finite entries whose float sum overflowed midway are
         # summed again exactly, on their integer ratios
-        if not abs(trace) <= TOLERANCE and not (
+        if not abs(trace) <= tolerance and not (
             math.isinf(trace)
             and all(map(math.isfinite, diag))
-            and abs(sum(map(Fraction, diag))) <= TOLERANCE
+            and abs(sum(map(Fraction, diag))) <= tolerance
         ):
             raise TraceNotZero(f"trace is {trace}, expected 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
 
     @classmethod
     def zero(cls, n: int) -> "TracelessDiagonal":
@@ -140,8 +138,7 @@ class TracelessDiagonal:
         factor = _as_number(factor)
         return TracelessDiagonal(tuple(factor * v for v in self.diag))
 
-    def __rmul__(self, factor) -> "TracelessDiagonal":
-        return self.scaled(factor)
+    __rmul__ = scaled
 
 
 def dn1_new(first) -> DiagonalGroupElement:

@@ -199,11 +199,14 @@ class RationalMatrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def entry(self, i: int, j: int) -> Fraction:
-        """1-based entry access."""
+        """1-based entry access; IndexError outside 1..n."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"entry ({i}, {j}) outside 1..{self.n}")
         return self.rows[i - 1][j - 1]
 
     def with_entry(self, i: int, j: int, value) -> "RationalMatrix":
         """Copy with the 1-based (i, j) entry replaced."""
+        self.entry(i, j)  # the index check
         value = as_fraction(value)
         rows = [list(row) for row in self.rows]
         rows[i - 1][j - 1] = value

@@ -1,15 +1,18 @@
 """Canonical JSON for every object the command line reads or writes.
 
 The encoder is deterministic byte for byte: keys appear in the order the
-codec inserts them, separators are compact, rationals are lowest-terms
-"p" or "p/q" strings, floats go through repr-faithful '%.17g'.  Parsers
-reject anything that does not match the documented shapes with
-MalformedInput so the CLI can map the whole family to one exit code.
+codec inserts them, separators are compact, floats go through
+repr-faithful '%.17g', and every other scalar through one ``json.dumps``.
+Rationals are written as ``str(Fraction)``, the lowest-terms "p" or "p/q",
+and every rational array goes through ``vector_to_obj``.  Parsers reject
+anything that does not match the documented shapes with MalformedInput so
+the CLI can map the whole family to one exit code.
 
 Each input is checked once, by the reader for its shape: ``_require_list``
 checks every array's type and length, ``vector_from_obj`` reads every
-rational array, and the constructors add the algebraic conditions (a
-bijection, a unit product, a zero trace).  A parsed matrix holds exactly the
+rational array, ``sigma_from_obj`` reads ``--sigma`` (a bare array or an
+object), and the constructors add the algebraic conditions (a bijection, a
+unit product, a zero trace).  A parsed matrix holds exactly the
 ``Fraction``s its reader built, so it is built with ``_unchecked``.
 The classifier and Lie record types are imported inside the functions that
 use them, so the group subcommands load neither layer.
@@ -36,9 +39,7 @@ _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def parse_rational(text) -> Fraction:
@@ -68,14 +69,8 @@ def canonical_dumps(obj) -> str:
             raise MalformedInput(f"non-finite value {obj!r} cannot be serialized")
         text = format(obj, ".17g")
         return text if ("." in text or "e" in text) else text + ".0"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
+    if isinstance(obj, (str, int)) or obj is None:  # bool is an int
         return json.dumps(obj)
-    if obj is None:
-        return "null"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(canonical_dumps, obj)) + "]"
     if isinstance(obj, dict):
@@ -125,6 +120,13 @@ def permutation_from_obj(obj, n: int) -> Permutation:
         raise MalformedInput(str(exc)) from exc
 
 
+def sigma_from_obj(obj, n: int) -> Permutation:
+    """A bare one-line array, or an object with a "sigma" key and an optional "n"."""
+    if isinstance(obj, dict):
+        return permutation_from_obj(obj.get("sigma"), _require_n(obj, n))
+    return permutation_from_obj(obj, n)
+
+
 def element_to_obj(element: AffineSymmetry | ScaledPerm) -> dict:
     if isinstance(element, ScaledPerm):
         element = AffineSymmetry.linear_only(element)
@@ -132,8 +134,8 @@ def element_to_obj(element: AffineSymmetry | ScaledPerm) -> dict:
     return {
         "n": linear.n,
         "sigma": list(linear.sigma.image),
-        "scale": [format_rational(a) for a in linear.scale],
-        "translation": [format_rational(t) for t in element.translation],
+        "scale": vector_to_obj(linear.scale),
+        "translation": vector_to_obj(element.translation),
     }
 
 
@@ -221,10 +223,10 @@ def report_to_obj(report, translation=None) -> dict:
         out = {
             "verdict": "symmetry",
             "sigma": list(report.sigma.image),
-            "scale": [format_rational(a) for a in report.scale],
+            "scale": vector_to_obj(report.scale),
         }
         if translation is not None:
-            out["translation"] = [format_rational(t) for t in translation]
+            out["translation"] = vector_to_obj(translation)
         return out
     if isinstance(report, Violation):
         return {"verdict": "violation", "witness": witness_to_obj(report.witness)}

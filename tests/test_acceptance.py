@@ -17,6 +17,7 @@ import numpy as np
 
 from bmsym import (
     NotMonomial,
+    PermanentMismatch,
     Permutation,
     RationalMatrix,
     ScaledPerm,
@@ -154,17 +155,22 @@ def test_criterion_5_membership_cross_check():
                     else:
                         on = p.sigma(row)
                         x = x.with_entry(row, on, x.entry(row, on) * 2)
+                verdict = invariance_system_check(x)
                 for sigma in (p.sigma.inverse(), Permutation(
                     tuple(rng.sample(range(1, n + 1), n))
                 )):
                     try:
                         perm, scale = extract_pattern(x)
-                        expected = (
-                            perm == sigma.inverse()
-                            and math.prod(scale, start=F(1)) == 1
-                        )
+                        product = math.prod(scale, start=F(1))
+                        expected = perm == sigma.inverse() and product == 1
+                        # a monomial's pattern is the classifier's verdict
+                        if product == 1:
+                            assert verdict == Symmetry(perm, scale)
+                        else:
+                            assert verdict == Violation(PermanentMismatch(product))
                     except NotMonomial:
                         expected = False
+                        assert isinstance(verdict, Violation)
                     assert membership_test(x, sigma) == expected
         ok = True
     finally:

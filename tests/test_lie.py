@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -107,6 +108,37 @@ def test_trace_check_cannot_overflow_midway():
         assert TracelessDiagonal(entries).diag == entries
     with pytest.raises(TraceNotZero):
         TracelessDiagonal((1e308, 1e308, -1e308))
+
+
+def test_exact_entries_are_checked_exactly():
+    # TOLERANCE would admit these; as_scaled_perm of the first would then raise
+    with pytest.raises(UnitProductViolation, match="entry product is 10000000000001/10000000000000"):
+        DiagonalGroupElement((F(10**13 + 1, 10**13), F(1)))
+    with pytest.raises(TraceNotZero, match="trace is 1/10000000000000, expected 0"):
+        TracelessDiagonal((F(1, 10**13), F(0)))
+    # one float entry is enough for the tolerance to apply
+    assert DiagonalGroupElement((1 + 1e-13, 1.0)).n == 2
+    assert TracelessDiagonal((1e-13, 0.0)).n == 2
+    assert TracelessDiagonal((F(1, 10**13), 0.0)).n == 2
+
+
+def test_diagonal_records_keep_their_dataclass_behaviour():
+    a = DiagonalGroupElement((F(2), F(1, 2)))
+    x = TracelessDiagonal((1.5, -1.5))
+    assert repr(a) == "DiagonalGroupElement(diag=(Fraction(2, 1), Fraction(1, 2)))"
+    assert repr(x) == "TracelessDiagonal(diag=(1.5, -1.5))"
+    assert a == DiagonalGroupElement((2, F(1, 2))) and hash(a) == hash((a.diag,))
+    assert {x, TracelessDiagonal((1.5, -1.5))} == {x}
+    b = dataclasses.replace(a, diag=(4, F(1, 4)))
+    assert type(b) is DiagonalGroupElement and b.diag == (F(4), F(1, 4))
+    with pytest.raises(TraceNotZero):
+        dataclasses.replace(x, diag=(1.0, 1.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.diag = (F(1), F(1))
+    # the same entries in the group and in the algebra are different values
+    for entries in ((F(1), F(1), F(-1), F(-1)), (1.0, 1.0, -1.0, -1.0)):
+        assert DiagonalGroupElement(entries) != TracelessDiagonal(entries)
+        assert TracelessDiagonal(entries) != DiagonalGroupElement(entries)
 
 
 # constructors and the chart

@@ -40,6 +40,17 @@ def test_entry_and_with_entry_are_one_based():
     assert RationalMatrix.identity(3).entry(1, 2) == 0
 
 
+def test_entry_indices_outside_one_to_n_raise():
+    # index 0 would otherwise wrap to row or column n
+    m = RationalMatrix([[1, 2], [3, 4]])
+    for i, j in ((0, 0), (0, 1), (1, 0), (3, 1), (1, 3), (-1, 1)):
+        with pytest.raises(IndexError, match=r"outside 1\.\.2"):
+            m.entry(i, j)
+        with pytest.raises(IndexError, match=r"outside 1\.\.2"):
+            m.with_entry(i, j, 7)
+    assert m.with_entry(2, 2, 7) == RationalMatrix([[1, 2], [3, 7]])
+
+
 def test_matmul():
     a = RationalMatrix([[1, 2], [3, 4]])
     b = RationalMatrix([[0, 1], [1, 0]])
