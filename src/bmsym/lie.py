@@ -6,11 +6,14 @@ of traceless diagonals, with exp/log acting componentwise.  Entries may be
 floats or exact rationals: rational elements keep all group arithmetic
 exact, while exp/log always produce floats.  The unit product and the zero
 trace hold within TOLERANCE when some entry is a float, exactly otherwise.
+Operations compute their result's chart and one rule per type completes
+it, unchecked; a float result is thus projected onto the group or algebra.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -22,7 +25,7 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import _add, _inv, _mul, _neg, _prod, _ratio_product, as_fraction
+from .matrix import _add, _inv, _mul, _neg, _prod, _ratio_product, _unchecked, as_fraction
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,9 +37,7 @@ TOLERANCE = 1e-12
 
 def _as_number(value):
     """Floats pass through; ints and Fractions stay exact."""
-    if isinstance(value, float):
-        return value
-    return Fraction(value)
+    return value if isinstance(value, float) else Fraction(value)
 
 
 def _near_unit_product(values) -> bool:
@@ -91,12 +92,12 @@ class DiagonalGroupElement(_Diagonal):
         return all(v == 1 for v in self.diag)
 
     def inverse(self) -> "DiagonalGroupElement":
-        return DiagonalGroupElement(tuple(1 / v for v in self.diag))
+        return dn1_new(tuple(1 / v for v in self.diag[:-1]))
 
     def multiply(self, other: "DiagonalGroupElement") -> "DiagonalGroupElement":
         if self.n != other.n:
             raise DimensionMismatch(f"sizes differ: {self.n} vs {other.n}")
-        return DiagonalGroupElement(tuple(a * b for a, b in zip(self.diag, other.diag)))
+        return dn1_new(tuple(a * b for a, b in zip(self.diag[:-1], other.diag[:-1])))
 
     def __mul__(self, other: "DiagonalGroupElement") -> "DiagonalGroupElement":
         if not isinstance(other, DiagonalGroupElement):
@@ -129,39 +130,54 @@ class TracelessDiagonal(_Diagonal):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"sizes differ: {self.n} vs {other.n}")
-        return TracelessDiagonal(tuple(a + b for a, b in zip(self.diag, other.diag)))
+        return _traceless(tuple(a + b for a, b in zip(self.diag[:-1], other.diag[:-1])))
 
     def __neg__(self) -> "TracelessDiagonal":
         return TracelessDiagonal(tuple(-v for v in self.diag))
 
     def scaled(self, factor) -> "TracelessDiagonal":
         factor = _as_number(factor)
-        return TracelessDiagonal(tuple(factor * v for v in self.diag))
+        return _traceless(tuple(factor * v for v in self.diag[:-1]))
 
     __rmul__ = scaled
+
+
+def _traceless(head: tuple) -> TracelessDiagonal:
+    """``head`` completed by minus its exact sum, rounded once if a float (never -0.0)."""
+    try:
+        last = -sum(map(Fraction, head))
+        last = float(last) if any(isinstance(v, float) for v in head) else last
+    except (OverflowError, ValueError):  # a non-finite entry, or a last one beyond the range
+        raise TraceNotZero(f"chart {head!r} has no finite traceless completion") from None
+    return _unchecked(TracelessDiagonal, diag=(*head, last))
 
 
 def dn1_new(first) -> DiagonalGroupElement:
     """Element from its first n-1 entries; the last is the reciprocal product.
 
-    The product is formed exactly, so it cannot overflow midway; the last
-    entry is a float, rounded once, when any leading entry is a float, and
-    must then lie in the float range.
+    The group operations complete their results here.  The product is exact,
+    so it cannot overflow midway; for floats the last entry is rounded once
+    and must keep the product within TOLERANCE, as any normal float does.
     """
     entries = tuple(_as_number(v) for v in first)
     if not entries:
         raise DimensionMismatch("need at least one leading entry")
     if any(v == 0 for v in entries):
         raise ZeroCoordinate("chart coordinates must be nonzero")
-    last = _inv(_prod(entries))
-    if any(isinstance(v, float) for v in entries):
-        try:
-            last = float(last)
-        except OverflowError:
-            last = math.inf
-        if last == 0 or math.isinf(last):
-            raise UnitProductViolation(f"last entry is {'above' if last else 'below'} the float range")
-    return DiagonalGroupElement((*entries, last))
+    if not any(isinstance(v, float) for v in entries):
+        return _unchecked(DiagonalGroupElement, diag=(*entries, _inv(_prod(entries))))
+    if not all(isinstance(v, float) for v in entries):  # the constructor's check
+        raise TypeError(f"entries must be all floats or all exact, got {entries!r}")
+    if not all(map(math.isfinite, entries)):
+        raise UnitProductViolation(f"chart coordinates must be finite, got {entries!r}")
+    numerator, denominator = _ratio_product(entries)
+    try:
+        last = denominator / numerator  # correctly rounded
+    except OverflowError:
+        raise UnitProductViolation("last entry is above the float range") from None
+    if not (abs(last) >= sys.float_info.min or _near_unit_product((*entries, last))):
+        raise UnitProductViolation("last entry is below the float range")
+    return _unchecked(DiagonalGroupElement, diag=(*entries, last))
 
 
 def chart(a: DiagonalGroupElement) -> tuple:
@@ -170,10 +186,8 @@ def chart(a: DiagonalGroupElement) -> tuple:
 
 
 def mu(a: DiagonalGroupElement, b: DiagonalGroupElement) -> DiagonalGroupElement:
-    """The division map a^{-1} b, componentwise b_i / a_i."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"sizes differ: {a.n} vs {b.n}")
-    return DiagonalGroupElement(tuple(bv / av for av, bv in zip(a.diag, b.diag)))
+    """The division map a^{-1} b, componentwise b_i / a_i up to rounding."""
+    return a.inverse().multiply(b)
 
 
 def lie_exp(x: TracelessDiagonal) -> DiagonalGroupElement:
@@ -189,15 +203,12 @@ def lie_log(a: DiagonalGroupElement) -> TracelessDiagonal:
 
 
 def basis(n: int, i: int) -> TracelessDiagonal:
-    """Basis element with +1 at position i (1-based, i <= n-1) and -1 at position n."""
+    """The chart's unit vector i (1-based, i <= n-1), completed by -1 at position n."""
     if n < 2:
         raise DimensionMismatch("need n >= 2")
     if not 1 <= i <= n - 1:
         raise IndexError(f"basis index {i} outside 1..{n - 1}")
-    diag = [Fraction(0)] * n
-    diag[i - 1] = Fraction(1)
-    diag[n - 1] = Fraction(-1)
-    return TracelessDiagonal(tuple(diag))
+    return _traceless(tuple(Fraction(j == i) for j in range(1, n)))
 
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:

@@ -4,9 +4,11 @@ The enumerations follow the definition directly and cost n! or n^n, so
 they only run on small matrices in the tests; membership is checked against
 the dense product it reads off, the samplers against the same draws built
 through the validating constructors, the Lie bracket against numpy's
-dense matrix products, and the unit-product tolerance test against the
-``Fraction`` operators.  The determinant and the diagonal read-off of a
-RationalMatrix live here too, since only the tests use them.
+dense matrix products, the unit-product tolerance test against the
+``Fraction`` operators, and the Lie group and algebra operations, which
+complete the chart of their result, against the entrywise formulas.  The
+determinant and the diagonal read-off of a RationalMatrix live here too,
+since only the tests use them.
 """
 
 import itertools
@@ -17,11 +19,13 @@ import numpy as np
 
 from bmsym import (
     DegenerateTuple,
+    DiagonalGroupElement,
     DimensionMismatch,
     PermanentMismatch,
     Permutation,
     ScaledPerm,
     Symmetry,
+    TracelessDiagonal,
     Violation,
     extract_pattern,
 )
@@ -97,6 +101,32 @@ def near_unit_product(values, tolerance):
         return False
     product = math.prod(map(Fraction, values), start=Fraction(1))
     return abs(product - 1) <= Fraction(tolerance)
+
+
+# The Lie operations entry by entry, each result re-checked by its validating
+# constructor.
+
+
+def entrywise_multiply(a, b):
+    return DiagonalGroupElement(tuple(x * y for x, y in zip(a.diag, b.diag)))
+
+
+def entrywise_inverse(a):
+    return DiagonalGroupElement(tuple(1 / v for v in a.diag))
+
+
+def entrywise_mu(a, b):
+    """a^{-1} b as b_i / a_i."""
+    return DiagonalGroupElement(tuple(y / x for x, y in zip(a.diag, b.diag)))
+
+
+def entrywise_add(x, y):
+    return TracelessDiagonal(tuple(a + b for a, b in zip(x.diag, y.diag)))
+
+
+def entrywise_scaled(x, factor):
+    factor = factor if isinstance(factor, float) else Fraction(factor)
+    return TracelessDiagonal(tuple(factor * v for v in x.diag))
 
 
 def cofactor_det(m):

@@ -6,8 +6,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from oracles import near_unit_product, numpy_bracket
+from hypothesis import assume, given, strategies as st
+from oracles import (
+    entrywise_add,
+    entrywise_inverse,
+    entrywise_mu,
+    entrywise_multiply,
+    entrywise_scaled,
+    near_unit_product,
+    numpy_bracket,
+)
 
 from bmsym import (
     DiagonalGroupElement,
@@ -83,6 +91,9 @@ def test_group_element_rejects_mixed_exact_and_float_entries():
         DiagonalGroupElement((2.0, F(1, 4), 2))
     assert DiagonalGroupElement((0.5, 2.0)).diag == (0.5, 2.0)
     assert DiagonalGroupElement((F(1, 2), 2)).diag == (F(1, 2), F(2))
+    # dn1_new checks its chart the same way
+    with pytest.raises(TypeError, match=r"all floats or all exact, got \(Fraction\(1, 2\), 2.0\)"):
+        dn1_new((F(1, 2), 2.0))
 
 
 def test_group_element_rejects_zero_entries():
@@ -168,6 +179,19 @@ def test_dn1_new_last_entry_outside_float_range():
         dn1_new((1e200, 1e200))
     with pytest.raises(UnitProductViolation, match="last entry is below the float range"):
         dn1_new((-1e200, 1e200))
+    # a subnormal last entry holds the unit product within TOLERANCE only
+    # when it is not too small; the constructor draws the same line
+    assert dn1_new((1e300, 1e10)) == DiagonalGroupElement((1e300, 1e10, 1e-310))
+    with pytest.raises(UnitProductViolation, match="last entry is below the float range"):
+        dn1_new((1e300, 1e15))
+    with pytest.raises(UnitProductViolation):
+        DiagonalGroupElement((1e300, 1e15, float(1 / (F(1e300) * F(1e15)))))
+
+
+def test_dn1_new_rejects_non_finite_coordinates():
+    for first in ((math.inf,), (math.nan,), (2.0, -math.inf, 0.5)):
+        with pytest.raises(UnitProductViolation, match="chart coordinates must be finite"):
+            dn1_new(first)
 
 
 def test_dn1_new_rejects_zero():
@@ -211,6 +235,43 @@ def test_multiplication_is_commutative_exact():
         b = dn1_new(tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)))
         assert (a * b).diag == (b * a).diag
         assert mu(a, b).diag == (a.inverse() * b).diag
+
+
+def test_float_operations_at_the_tolerance_edge_are_closed():
+    # the entrywise results fell just outside TOLERANCE
+    a = DiagonalGroupElement((1 + 9e-13, 1.0))
+    x = TracelessDiagonal((9e-13, 0.0))
+    for element in (a.multiply(a), a * a * a, mu(a.inverse(), a)):
+        assert DiagonalGroupElement(element.diag) == element
+    square = a.diag[0] * a.diag[0]
+    assert (a * a).diag == (square, float(1 / F(square)))  # the chart, completed
+    for element in (x + x, x.scaled(3.0), 3.0 * x):
+        assert TracelessDiagonal(element.diag) == element
+        assert element.diag[1] == -element.diag[0]
+
+
+def test_group_results_outside_the_float_range_are_domain_errors():
+    a = DiagonalGroupElement((1e200, 1e-200))
+    with pytest.raises(UnitProductViolation):
+        a.multiply(a)  # the chart is (inf,)
+    with pytest.raises(ZeroCoordinate):
+        a.inverse().multiply(a.inverse())  # the chart is (0.0,)
+
+
+def test_algebra_completion_keeps_a_zero_last_entry_positive():
+    # -sum((0.0, 0.0)) is -0.0, which the CLI's JSON would print as -0.0
+    assert repr(TracelessDiagonal.zero(3).scaled(2.0).diag) == "(0.0, 0.0, 0.0)"
+
+
+def test_algebra_completion_cannot_overflow_midway():
+    # the float sum of the head, 1e308 + 1e308, is inf; the exact one is 1e308
+    x = TracelessDiagonal((1e308, 1e308, -1e308, -1e308))
+    assert x + TracelessDiagonal.zero(4) == x
+    assert x.scaled(1.0) == x
+    y = TracelessDiagonal((1e308, -1e308))
+    for overflow in (lambda: y + y, lambda: y.scaled(2.0), lambda: y.scaled(math.nan)):
+        with pytest.raises(TraceNotZero):
+            overflow()
 
 
 # exp and log
@@ -411,3 +472,113 @@ def test_rational_elements_cross_over_exactly():
     b = DiagonalGroupElement((F(4), F(1), F(1, 4)))
     agreed = as_scaled_perm(a).inverse().compose(as_scaled_perm(b))
     assert agreed.scale == mu(a, b).diag
+
+
+# the operations complete the chart: exact results equal the entrywise
+# operators, float results are closed
+
+wide_fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def exact_group_elements(draw, n):
+    head = [draw(wide_fractions.filter(bool)) for _ in range(n - 1)]
+    return DiagonalGroupElement((*head, 1 / math.prod(head, start=F(1))))
+
+
+def assert_same(result, want):
+    """The same value, entry types, repr and hash."""
+    assert type(result) is type(want) and result == want
+    assert [type(v) for v in result.diag] == [type(v) for v in want.diag]
+    assert repr(result) == repr(want) and hash(result) == hash(want)
+
+
+@given(st.data(), st.integers(min_value=2, max_value=8))
+def test_exact_operations_equal_the_entrywise_oracles(data, n):
+    a, b = data.draw(exact_group_elements(n)), data.draw(exact_group_elements(n))
+    x = data.draw(traceless_diagonals(n, wide_fractions))
+    y = data.draw(traceless_diagonals(n, wide_fractions))
+    factor = data.draw(st.one_of(st.integers(min_value=-9, max_value=9), wide_fractions))
+    assert_same(a.multiply(b), entrywise_multiply(a, b))
+    assert_same(a.inverse(), entrywise_inverse(a))
+    assert_same(mu(a, b), entrywise_mu(a, b))
+    assert_same(x + y, entrywise_add(x, y))
+    assert_same(x.scaled(factor), entrywise_scaled(x, factor))
+
+
+EDGE_OFFSETS = [0.0, 9e-13, -9e-13, 5e-13, -5e-13]
+IN_RANGE = (F(1e-300), F(1e300))
+
+
+@st.composite
+def edge_group_elements(draw, n):
+    """Float elements whose product is off 1 by up to 9e-13, with entries
+    from about 1 up to 1e±250 in magnitude."""
+    head = []
+    for _ in range(n - 1):
+        mantissa = draw(st.floats(min_value=1, max_value=10)) * draw(st.sampled_from([1, -1]))
+        head.append(mantissa * 10.0 ** draw(st.one_of(st.just(0), st.integers(-250, 250))))
+    last = 1 / math.prod(map(F, head), start=F(1))
+    assume(IN_RANGE[0] <= abs(last) <= IN_RANGE[1])
+    return DiagonalGroupElement((*head, float(last) * (1 + draw(st.sampled_from(EDGE_OFFSETS)))))
+
+
+# each step with the exponents (p, q) of its entrywise result a_i^p b_i^q
+GROUP_STEPS = [
+    (lambda a, b: a.multiply(b), 1, 1),
+    (lambda a, b: a.inverse(), -1, 0),
+    (mu, -1, 1),
+    (lambda a, b: mu(b, a), 1, -1),
+    (lambda a, b: a * a, 2, 0),
+]
+
+
+@given(st.data(), st.integers(min_value=2, max_value=8))
+def test_float_group_chains_from_the_tolerance_edge_are_closed(data, n):
+    a = data.draw(edge_group_elements(n))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        b = data.draw(edge_group_elements(n))
+        step, p, q = data.draw(st.sampled_from(GROUP_STEPS))
+        want = [F(u) ** p * F(v) ** q for u, v in zip(a.diag, b.diag)]
+        in_range = all(IN_RANGE[0] <= abs(v) <= IN_RANGE[1] for v in want)
+        try:
+            result = step(a, b)
+        except (UnitProductViolation, ZeroCoordinate):
+            assert not in_range
+            return
+        assert all(type(v) is float for v in result.diag)
+        assert DiagonalGroupElement(result.diag) == result
+        if in_range:  # the projection moves the entrywise result by its operands' errors
+            assert all(abs(F(u) - v) <= abs(v) * F(1e-11) for u, v in zip(result.diag, want))
+        a = result
+
+
+@st.composite
+def edge_traceless(draw, n):
+    """Float elements whose trace is off 0 by up to 9e-13."""
+    head = [draw(st.floats(min_value=-2, max_value=2)) for _ in range(n - 1)]
+    last = -float(sum(map(F, head))) + draw(st.sampled_from(EDGE_OFFSETS))
+    return TracelessDiagonal((*head, last))
+
+
+# each step with its entrywise result on the exact entries u of x, v of y
+ALGEBRA_STEPS = [
+    (lambda x, y, f: x + y, lambda u, v, f: u + v),
+    (lambda x, y, f: x.scaled(f), lambda u, v, f: f * u),
+    (lambda x, y, f: -x, lambda u, v, f: -u),
+]
+
+
+@given(st.data(), st.integers(min_value=2, max_value=8))
+def test_float_algebra_chains_from_the_tolerance_edge_are_closed(data, n):
+    x = data.draw(edge_traceless(n))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        y = data.draw(edge_traceless(n))
+        factor = data.draw(st.floats(min_value=-1.5, max_value=1.5))
+        step, entrywise = data.draw(st.sampled_from(ALGEBRA_STEPS))
+        result = step(x, y, factor)
+        assert all(type(v) is float for v in result.diag)
+        assert TracelessDiagonal(result.diag) == result
+        want = [entrywise(F(u), F(v), F(factor)) for u, v in zip(x.diag, y.diag)]
+        assert all(abs(F(u) - v) <= F(1e-11) for u, v in zip(result.diag, want))
+        x = result
