@@ -7,7 +7,8 @@ repeated-index tuple with a nonzero product, and without one the matrix is
 either monomial (permanent = scale product) or has a zero row (permanent
 0).  A failing matrix comes back with a machine-checkable witness; a
 passing one comes back with its recovered (permutation, scales) data.
-`permanent` (Ryser's formula) is only needed to re-check a witness.
+`permanent` (an expansion over the row supports) is only needed to re-check
+a witness.
 """
 
 from fractions import Fraction as F

@@ -37,7 +37,7 @@ TOLERANCE = 1e-12
 
 def _as_number(value):
     """Floats pass through; ints and Fractions stay exact."""
-    return value if isinstance(value, float) else Fraction(value)
+    return value if isinstance(value, float) else as_fraction(value)
 
 
 def _near_unit_product(values) -> bool:
@@ -109,16 +109,17 @@ class TracelessDiagonal(_Diagonal):
     """diag(t_1..t_n), trace 0 (within TOLERANCE if any is a float); tangent data for exp."""
 
     def _check(self, diag: tuple) -> None:
-        trace = sum(diag)
-        tolerance = TOLERANCE if any(isinstance(v, float) for v in diag) else 0
-        # "not <=" also fails a NaN or infinite entry, whose trace is NaN or
-        # infinite; finite entries whose float sum overflowed midway are
-        # summed again exactly, on their integer ratios
-        if not abs(trace) <= tolerance and not (
-            math.isinf(trace)
-            and all(map(math.isfinite, diag))
-            and abs(sum(map(Fraction, diag))) <= tolerance
-        ):
+        floats = [v for v in diag if isinstance(v, float)]
+        if not floats:
+            trace = sum(diag)
+        elif not all(map(math.isfinite, floats)):
+            trace = sum(floats)  # NaN or infinite, which "not <=" fails
+        else:
+            try:  # correctly rounded
+                trace = math.fsum(diag)
+            except OverflowError:  # a partial sum or an exact entry beyond the float range
+                trace = sum(map(Fraction, diag))
+        if not abs(trace) <= (TOLERANCE if floats else 0):
             raise TraceNotZero(f"trace is {trace}, expected 0")
 
     @classmethod

@@ -1,7 +1,8 @@
 """Reference implementations that the fast code is checked against.
 
 The enumerations follow the definition directly and cost n! or n^n, so
-they only run on small matrices in the tests; membership is checked against
+they only run on small matrices in the tests; Ryser's formula, at 2^n n
+steps, checks the permanent at a few larger n; membership is checked against
 the dense product it reads off, the samplers against the same draws built
 through the validating constructors, the Lie bracket against numpy's
 dense matrix products, the unit-product tolerance test against the
@@ -14,6 +15,7 @@ since only the tests use them.
 import itertools
 import math
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 
@@ -71,6 +73,35 @@ def enumerated_permanent(m):
         (_product(m, columns) for columns in itertools.permutations(range(m.n))),
         start=Fraction(0),
     )
+
+
+def ryser_permanent(m):
+    """Ryser's formula, column subsets in Gray-code order.
+
+    perm(A) = (-1)^n * sum over column subsets S of
+    (-1)^|S| * prod_i sum_{j in S} A[i, j].  Each row is scaled to integers
+    first, so the 2^n loop runs on ints; the scaling is divided out at the end.
+    """
+    n = m.n
+    rows = []
+    denominator = 1
+    for row in m.rows:
+        lcm = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (lcm // v.denominator) for v in row])
+        denominator *= lcm
+    columns = list(zip(*rows))
+    sums = [0] * n
+    subset = 0
+    sign = 1  # (-1)^|S|
+    total = 0
+    for k in range(1, 1 << n):
+        bit = k & -k  # the column that enters or leaves S at step k
+        subset ^= bit
+        step = add if subset & bit else sub
+        sums = list(map(step, sums, columns[bit.bit_length() - 1]))
+        sign = -sign
+        total += sign * math.prod(sums)
+    return Fraction(-total if n % 2 else total, denominator)
 
 
 def enumerated_check(m):

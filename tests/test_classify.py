@@ -39,6 +39,7 @@ from oracles import (
     dense_membership,
     enumerated_check,
     enumerated_permanent,
+    ryser_permanent,
     support_scan_degenerate,
 )
 
@@ -308,7 +309,8 @@ def test_witness_violates_negative_cases():
     assert not witness_violates(m, DegenerateTuple((1, 2, 3), F(1)))
 
 
-# cross-checks of the pattern classifier and Ryser against enumeration
+# cross-checks of the pattern classifier and the support-expansion permanent
+# against enumeration, sympy and Ryser's formula
 
 
 def _monomial_rows(n, rng):
@@ -366,6 +368,37 @@ def test_permanent_matches_sympy():
             rows = [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m.rows]
             value = sympy.Matrix(rows).per()
             assert permanent(m) == F(int(value.p), int(value.q)), m
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_permanent_matches_ryser(n):
+    rng = random.Random(f"ryser:{n}")
+    for m in _cross_check_matrices(n, rng, 100):
+        assert permanent(m, max_n=n) == ryser_permanent(m), m
+
+
+def test_permanent_of_a_tridiagonal_matrix_at_n40():
+    # expanding along the last row: p_k = a_k p_(k-1) + b_(k-1) c_(k-1) p_(k-2),
+    # with a on the diagonal, b above it and c below it
+    n = 40
+    rng = random.Random("tridiagonal")
+    a = [random_nonzero_rational(rng) for _ in range(n)]
+    b = [random_nonzero_rational(rng) for _ in range(n - 1)]
+    c = [random_nonzero_rational(rng) for _ in range(n - 1)]
+    rows = [[F(0)] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = a[k]
+        if k + 1 < n:
+            rows[k][k + 1], rows[k + 1][k] = b[k], c[k]
+    previous, value = F(1), a[0]
+    for k in range(1, n):
+        previous, value = value, a[k] * value + b[k - 1] * c[k - 1] * previous
+    assert permanent(RationalMatrix(rows), max_n=n) == value
+
+
+def test_permanent_of_a_scaled_permutation_at_n64():
+    element = random_scaled_perm(64, random.Random("per64"))
+    assert permanent(element.to_dense(), max_n=64) == 1
 
 
 def test_classify_scaled_permutation_at_n64():

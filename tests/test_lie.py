@@ -121,6 +121,30 @@ def test_trace_check_cannot_overflow_midway():
         TracelessDiagonal((1e308, 1e308, -1e308))
 
 
+def test_float_trace_is_the_correctly_rounded_sum():
+    # the float sum left to right is -1.0, but the trace is exactly 0
+    entries = (1e20, 1.0, -1e20, -1.0)
+    assert TracelessDiagonal(entries).diag == entries
+    # the exact values of these floats sum to -5.96e-9, well beyond TOLERANCE
+    assert sum(map(F, (1e8 + 0.1, -1e8, -0.1))) < -5e-9
+    with pytest.raises(TraceNotZero, match="trace is -5.96"):
+        TracelessDiagonal((1e8 + 0.1, -1e8, -0.1))
+    # an exact entry beyond the float range is summed exactly
+    with pytest.raises(TraceNotZero):
+        TracelessDiagonal((F(10**400), 1.0))
+    with pytest.raises(TraceNotZero, match="trace is inf"):
+        TracelessDiagonal((1e308, 1e308, math.inf))
+
+
+def test_exact_entries_pass_through_unchanged():
+    half, quarter = F(1, 2), F(1, 4)
+    a = DiagonalGroupElement((half, F(2)))
+    x = TracelessDiagonal((quarter, -quarter))
+    assert a.diag[0] is half and x.diag[0] is quarter
+    assert dn1_new((half,)).diag[0] is half
+    assert TracelessDiagonal((1, -1)).diag == (F(1), F(-1))
+
+
 def test_exact_entries_are_checked_exactly():
     # TOLERANCE would admit these; as_scaled_perm of the first would then raise
     with pytest.raises(UnitProductViolation, match="entry product is 10000000000001/10000000000000"):
