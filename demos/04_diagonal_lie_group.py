@@ -49,8 +49,9 @@ def main():
         print("  ", [str(v) for v in basis(n, i).diag])
     print("bracket of the first two basis vectors:",
           bracket(basis(n, 1), basis(n, 2)).diag)
+    constants = structure_constants(n).tolist()
     print("structure constants are the zero tensor:",
-          not structure_constants(n).any())
+          not any(v for plane in constants for row in plane for v in row))
     print()
 
     c = dn1_new((F(-2), F(-1, 2)))

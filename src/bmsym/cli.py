@@ -121,10 +121,10 @@ def _cmd_lie_basis(args) -> tuple[object, int]:
 
 
 def _cmd_lie_structure(args) -> tuple[object, int]:
-    from .lie import _structure_lists
+    from .lie import structure_constants
 
     _require_lie_n(args.n)
-    return {"n": args.n, "dim": args.n - 1, "constants": _structure_lists(args.n)}, 0
+    return {"n": args.n, "dim": args.n - 1, "constants": structure_constants(args.n).tolist()}, 0
 
 
 def _cmd_components(args) -> tuple[object, int]:

@@ -25,11 +25,9 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import _add, _inv, _mul, _neg, _prod, _ratio_product, _unchecked, as_fraction
+from .matrix import _add, _inv, _mul, _neg, _prod, _unchecked, as_fraction
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .group import ScaledPerm
 
 TOLERANCE = 1e-12
@@ -38,6 +36,19 @@ TOLERANCE = 1e-12
 def _as_number(value):
     """Floats pass through; ints and Fractions stay exact."""
     return value if isinstance(value, float) else as_fraction(value)
+
+
+def _ratio_product(values) -> tuple[int, int]:
+    """The exact product of floats (or Fractions) as an unreduced
+    ``(numerator, denominator)`` with a positive denominator, ``(1, 1)`` when
+    empty.  Each enters as its exact integer ratio, so no partial product
+    overflows; an infinite or NaN entry raises OverflowError or ValueError."""
+    numerator = denominator = 1
+    for v in values:
+        n, d = v.as_integer_ratio()
+        numerator *= n
+        denominator *= d
+    return numerator, denominator
 
 
 def _near_unit_product(values) -> bool:
@@ -81,7 +92,8 @@ class DiagonalGroupElement(_Diagonal):
             product = math.prod(diag)
             if not 0 < abs(product) < math.inf and all(map(math.isfinite, diag)):
                 # the float product left the range; the exact one says which way
-                product = f"{'above' if abs(_prod(diag)) > 1 else 'below'} the float range"
+                num, den = _ratio_product(diag)
+                product = f"{'above' if abs(num) > den else 'below'} the float range"
             raise UnitProductViolation(f"entry product is {product}, expected 1")
 
     @classmethod
@@ -226,36 +238,31 @@ def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
     )
 
 
-def _structure_lists(n: int) -> list[list[list[float]]]:
-    """structure_constants(n) as nested float lists, without numpy."""
+def structure_constants(n: int) -> memoryview:
+    """Tensor c[i, j, k] with [E_i, E_j] = sum_k c[i, j, k] E_k.
+
+    Computed by expanding the bracket of each basis pair in the basis
+    (coefficients read off positions 1..n-1), not assumed; the algebra is
+    abelian, so the result is the zero tensor.  It is returned as a
+    ``memoryview`` of format ``"d"`` and shape (n-1, n-1, n-1) over a stdlib
+    ``array``: it has ``.shape``, ``.tolist()`` and ``c[i, j, k]``, and array
+    libraries wrap it through the buffer protocol without a copy.
+    """
     if n < 2:
         raise DimensionMismatch("need n >= 2")
+    from array import array  # imported here so that only this function loads it
+
     vectors = [basis(n, i) for i in range(1, n)]
-    tensor = []
+    flat = array("d")
     for e_i in vectors:
-        plane = []
         for e_j in vectors:
             b = bracket(e_i, e_j)
             coefficients = [float(v) for v in b.diag[:-1]]
             # The expansion is faithful only if the dropped last entry agrees.
             if float(b.diag[-1]) != -sum(coefficients):
                 raise RuntimeError("bracket does not lie in the span of the basis")
-            plane.append(coefficients)
-        tensor.append(plane)
-    return tensor
-
-
-def structure_constants(n: int) -> np.ndarray:
-    """Tensor c[i, j, k] with [E_i, E_j] = sum_k c[i, j, k] E_k.
-
-    Computed by expanding the bracket of each basis pair in the basis
-    (coefficients read off positions 1..n-1), not assumed; the algebra is
-    abelian, so the result is the zero tensor.
-    """
-    tensor = _structure_lists(n)
-    import numpy as np  # imported here so that only this function loads numpy
-
-    return np.array(tensor, dtype=float)
+            flat.extend(coefficients)
+    return memoryview(flat).cast("B").cast("d", (n - 1,) * 3)
 
 
 def component_signature(a: DiagonalGroupElement) -> tuple[int, ...]:

@@ -13,12 +13,10 @@ scalar arithmetic of those operations (and of ``group``, ``classify``,
 entry.  They take validated ``Fraction``s and read each integer ratio
 straight from the ``_numerator`` and ``_denominator`` slots (present on
 Python 3.10+), since ``as_integer_ratio`` is a Python-level method call.
-``_prod`` also takes floats, whose integer ratios are exact, so its loop,
-``_ratio_product``, calls ``as_integer_ratio``.  Each result is built from a
-ratio already in lowest terms with a positive denominator, so nothing is
-type-checked or reduced twice, and is exactly the ``Fraction`` (value,
-numerator, denominator, hash and type) that the operator it replaces
-returns; ``_inv`` raises ``ZeroDivisionError`` on 0.
+Each result is built from a ratio already in lowest terms with a positive
+denominator, so nothing is type-checked or reduced twice, and is exactly
+the ``Fraction`` (value, numerator, denominator, hash and type) that the
+operator it replaces returns; ``_inv`` raises ``ZeroDivisionError`` on 0.
 """
 
 from __future__ import annotations
@@ -109,22 +107,13 @@ def _neg(a: Fraction) -> Fraction:
     return _fraction(-a._numerator, a._denominator)
 
 
-def _ratio_product(values: Iterable[Fraction | float]) -> tuple[int, int]:
-    """The exact product of ``values`` as an unreduced ``(numerator,
-    denominator)`` with a positive denominator, ``(1, 1)`` when empty.  A
-    float enters as its exact integer ratio, so no partial product
-    overflows; an infinite or NaN float raises OverflowError or ValueError."""
+def _prod(values: Iterable[Fraction]) -> Fraction:
+    """The product, as integer products of the numerators and of the
+    denominators reduced by one gcd; ``1`` when empty."""
     numerator = denominator = 1
     for v in values:
-        n, d = v.as_integer_ratio()
-        numerator *= n
-        denominator *= d
-    return numerator, denominator
-
-
-def _prod(values: Iterable[Fraction | float]) -> Fraction:
-    """``_ratio_product`` reduced by one gcd."""
-    numerator, denominator = _ratio_product(values)
+        numerator *= v._numerator
+        denominator *= v._denominator
     g = math.gcd(numerator, denominator)
     return _fraction(numerator // g, denominator // g)
 

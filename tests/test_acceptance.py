@@ -200,7 +200,7 @@ def test_criterion_7_lie_suite():
             assert np.linalg.matrix_rank(rows) == n - 1
             for x, y in itertools.product(vectors, vectors):
                 assert all(v == 0 for v in bracket(x, y).diag)
-            assert not structure_constants(n).any()
+            assert not np.asarray(structure_constants(n)).any()
 
             rng = random.Random(f"acc7:{n}")
             for _ in range(1000):
@@ -295,3 +295,37 @@ def test_criterion_8_cli_determinism_and_exit_codes():
         ok = True
     finally:
         _report(8, ok)
+
+
+# Every subcommand, and structure_constants itself, without numpy: one child
+# interpreter runs the calls with numpy blocked (None in sys.modules makes
+# its import raise ImportError), another runs them normally.
+_CLI_OUTPUTS = """
+import contextlib, io, json, sys
+from bmsym.cli import main
+from bmsym.lie import structure_constants
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    outputs.append([argv, out.getvalue(), err.getvalue(), code])
+outputs += [repr(structure_constants(n).tolist()) for n in range(2, 7)]
+print(json.dumps(outputs))
+"""
+NO_NUMPY_RUNS = SUBCOMMAND_RUNS + [["lie-structure", "--n", str(n)] for n in range(2, 7)]
+
+
+def _cli_outputs(prelude):
+    result = subprocess.run(
+        [sys.executable, "-c", prelude + _CLI_OUTPUTS, json.dumps(NO_NUMPY_RUNS)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_every_subcommand_runs_without_numpy():
+    blocked = _cli_outputs("import sys; sys.modules['numpy'] = None")
+    assert blocked == _cli_outputs("")
+    assert all(code == 0 for _, _, _, code in json.loads(blocked)[: len(NO_NUMPY_RUNS)])

@@ -38,7 +38,7 @@ from bmsym import (
     mu,
     structure_constants,
 )
-from bmsym.lie import TOLERANCE, _near_unit_product, _structure_lists
+from bmsym.lie import TOLERANCE, _near_unit_product, _ratio_product
 
 TOL = 1e-12
 
@@ -404,14 +404,14 @@ def test_bracket_is_exact_at_every_magnitude():
 def test_structure_lists_are_float_zeros():
     for n in range(2, 11):
         zeros = [[[0.0] * (n - 1) for _ in range(n - 1)] for _ in range(n - 1)]
-        assert repr(_structure_lists(n)) == repr(zeros)
+        assert repr(structure_constants(n).tolist()) == repr(zeros)
 
 
 def test_structure_constants_zero():
     for n in (2, 3, 10):
         tensor = structure_constants(n)
         assert tensor.shape == (n - 1, n - 1, n - 1)
-        assert not tensor.any()
+        assert not np.asarray(tensor).any()
 
 
 floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -432,8 +432,32 @@ def test_bracket_matches_numpy_dense_commutator(data, n, entries):
     assert list(map(repr, bracket(x, y).diag)) == list(map(repr, numpy_bracket(x, y)))
     tensor = structure_constants(n)
     assert tensor.shape == (n - 1,) * 3
-    assert tensor.dtype == float
-    assert not tensor.any()
+    assert tensor.format == "d"
+    assert not np.asarray(tensor).any()
+
+
+# the exact float product, each entry entering as its integer ratio
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, -1e-300, 0.1, -0.0]),
+)
+
+
+@given(st.lists(st.one_of(finite_floats, fractions), max_size=8))
+def test_ratio_product_is_exact_on_floats_and_mixes(values):
+    numerator, denominator = _ratio_product(values)
+    assert F(numerator, denominator) == math.prod(map(F, values), start=F(1))
+    assert denominator > 0
+
+
+def test_ratio_product_rejects_non_finite_floats():
+    with pytest.raises(OverflowError):
+        _ratio_product([F(1, 2), math.inf])
+    with pytest.raises(OverflowError):
+        _ratio_product([-math.inf])
+    with pytest.raises(ValueError):
+        _ratio_product([2.0, math.nan])
 
 
 # the unit-product tolerance test, against the Fraction operators

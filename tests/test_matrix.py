@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -161,32 +160,6 @@ def test_prod_kernel_matches_the_operator(values):
     for v in values:
         want *= v
     assert_same_fraction(_prod(values), want)
-
-
-# _prod also takes floats, each entering as its exact integer ratio
-
-finite_floats = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, -1e-300, 0.1, -0.0]),
-)
-
-
-@given(st.lists(st.one_of(finite_floats, fractions), max_size=8))
-def test_prod_kernel_is_exact_on_floats_and_mixes(values):
-    got = _prod(values)
-    want = math.prod(map(Fraction, values), start=Fraction(1))
-    assert_same_fraction(got, want)
-    assert got.denominator > 0
-    assert math.gcd(got.numerator, got.denominator) == 1
-
-
-def test_prod_kernel_rejects_non_finite_floats():
-    with pytest.raises(OverflowError):
-        _prod([Fraction(1, 2), math.inf])
-    with pytest.raises(OverflowError):
-        _prod([-math.inf])
-    with pytest.raises(ValueError):
-        _prod([2.0, math.nan])
 
 
 def test_inv_kernel_rejects_zero():
