@@ -12,15 +12,15 @@ unit scale product.  The argument needs a third row to play indices against
 for n >= 3; the 2x2 system (ac = 0, bd = 0, ad + bc = 1) yields the same
 conclusion by direct case analysis, so the classifier accepts n >= 2.
 
-Both conditions are decided from the per-row supports (the columns with
-nonzero entries) in O(n^2), without enumeration.  A tuple with an
-off-support index has product 0, so the first degenerate tuple in
+Both conditions are decided in one O(n^2) pass over the rows (`_scan`),
+without enumeration.  A tuple with an off-support index (a column where
+its row is zero) has product 0, so the first degenerate tuple in
 lexicographic order is built greedily over the supports, which by
-pigeonhole has a closed form (`_first_degenerate`).  Without one, J has a
-zero row (permanent 0) or is monomial (permanent = scale product), so the
-verdict needs no permanent.  `permanent`, kept to re-check witnesses,
-expands along the row supports (O(n) on a monomial); the dimension cap
-(DEFAULT_MAX_N) is a policy limit.
+pigeonhole has a closed form.  Without one, J has a zero row (permanent 0)
+or is monomial (permanent = scale product), so the verdict needs no
+permanent.  `permanent`, kept to re-check witnesses, expands along the row
+supports (O(n) on a monomial); the dimension cap (DEFAULT_MAX_N) is a
+policy limit.
 Verdicts and the oracle's perturbed matrices are built unchecked: the
 decision proved distinct support columns and a unit scale product.
 """
@@ -30,13 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, ScaledPerm
 from .matrix import ZERO, RationalMatrix, _prod, _unchecked, as_vector
 from .permutation import Permutation
-from .sampling import random_nonzero_rational, random_scaled_perm, trial_rng
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,8 @@ def permanent(matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N) -> Fraction
     _check_cap(matrix.n, max_n)
     sums = {0: 1}
     denominator = 1
-    for row, support in zip(matrix.rows, _supports(matrix)):
+    for row in matrix.rows:
+        support = [j for j, v in enumerate(row) if v._numerator]
         lcm = math.lcm(*(row[j]._denominator for j in support))
         denominator *= lcm
         terms = [(1 << j, row[j]._numerator * (lcm // row[j]._denominator)) for j in support]
@@ -124,28 +123,32 @@ def permanent(matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N) -> Fraction
     return Fraction(total, denominator)
 
 
-def _supports(matrix: RationalMatrix) -> list[list[int]]:
-    """The nonzero columns (0-based) of each row, read off the numerator slot
-    of the validated Fractions rather than through ``Fraction.__bool__``."""
-    return [[j for j, v in enumerate(row) if v._numerator] for row in matrix.rows]
-
-
-def _first_degenerate(
-    matrix: RationalMatrix, supports: list[list[int]]
-) -> DegenerateTuple | None:
-    """The first repeated-index support tuple in lexicographic order, for
-    supports that are all nonempty; None exactly when J is monomial."""
-    n = matrix.n
-    columns = [support[0] for support in supports]  # the least support tuple
-    if len(set(columns)) == n:
-        # A permutation: moving any one position to a larger support column
-        # makes it repeat, and moving the last movable one gives the least.
-        i = next((i for i in reversed(range(n)) if len(supports[i]) > 1), None)
-        if i is None:
-            return None
-        columns[i] = supports[i][1]
-    product = _prod(matrix.rows[i][j] for i, j in enumerate(columns))
-    return DegenerateTuple(tuple(j + 1 for j in columns), product)
+def _scan(matrix: RationalMatrix):
+    """The decision, in one pass that reads each row up to its second support
+    column: the permanent 0 at a zero row, else the first degenerate tuple,
+    else the (sigma, scales) of the monomial J."""
+    columns = []  # each row's least support column, 1-based
+    entries = []  # the entry there
+    wide = None  # (row, second support column, entry) of the last row with one
+    for i, row in enumerate(matrix.rows):
+        least = 0
+        for j, v in enumerate(row, 1):
+            if v._numerator:
+                if least:
+                    wide = i, j, v
+                    break
+                least, entry = j, v
+        if not least:
+            return PermanentMismatch(ZERO)  # a zero row zeroes every product
+        columns.append(least)
+        entries.append(entry)
+    if len(set(columns)) == len(columns):
+        if wide is None:
+            return _unchecked(Permutation, image=tuple(columns)), tuple(entries)
+        # The least columns are a permutation: moving any one row to a larger
+        # support column makes them repeat, and moving the last gives the least.
+        i, columns[i], entries[i] = wide
+    return DegenerateTuple(tuple(columns), _prod(entries))
 
 
 def degenerate_products_zero(
@@ -157,17 +160,8 @@ def degenerate_products_zero(
     (necessarily nonzero) product.
     """
     _check_cap(matrix.n, max_n)
-    supports = _supports(matrix)
-    if not all(supports):
-        return None  # a zero row zeroes every product
-    return _first_degenerate(matrix, supports)
-
-
-def _pattern(matrix: RationalMatrix, supports: list) -> tuple[Permutation, tuple[Fraction, ...]]:
-    """(sigma, scales) of a monomial J, read off its one-column row supports."""
-    columns = [support[0] for support in supports]
-    scale = tuple(map(getitem, matrix.rows, columns))
-    return _unchecked(Permutation, image=tuple(j + 1 for j in columns)), scale
+    found = _scan(matrix)
+    return found if type(found) is DegenerateTuple else None
 
 
 def extract_pattern(matrix: RationalMatrix) -> tuple[Permutation, tuple[Fraction, ...]]:
@@ -176,35 +170,36 @@ def extract_pattern(matrix: RationalMatrix) -> tuple[Permutation, tuple[Fraction
     Raises NotMonomial when some row does not have exactly one nonzero entry
     or the nonzero columns repeat.  The scale product is not checked here.
     """
-    supports = _supports(matrix)
-    for i, support in enumerate(supports):
-        if len(support) != 1:
-            raise NotMonomial(f"row {i + 1} has {len(support)} nonzero entries, expected 1")
-    if len({support[0] for support in supports}) != matrix.n:
-        raise NotMonomial(f"nonzero columns {[support[0] + 1 for support in supports]} repeat")
-    return _pattern(matrix, supports)
+    found = _scan(matrix)
+    if type(found) is tuple:
+        return found
+    for i, row in enumerate(matrix.rows, 1):
+        count = len(row) - row.count(ZERO)
+        if count != 1:
+            raise NotMonomial(f"row {i} has {count} nonzero entries, expected 1")
+    raise NotMonomial(f"nonzero columns {list(found.indices)} repeat")
+
+
+def _decide(matrix: RationalMatrix, max_n: int):
+    """A Violation, or the (sigma, scales) of a symmetry."""
+    if matrix.n < 2:
+        raise DimensionMismatch("classification needs n >= 2")
+    _check_cap(matrix.n, max_n)
+    found = _scan(matrix)
+    if type(found) is not tuple:
+        return Violation(found)
+    value = _prod(found[1])  # the permanent of the monomial J, reduced
+    if value._numerator != 1 or value._denominator != 1:
+        return Violation(PermanentMismatch(value))
+    return found
 
 
 def invariance_system_check(
     matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N
 ) -> InvarianceReport:
     """Full decision: Symmetry with recovered (sigma, scales), or a witness."""
-    n = matrix.n
-    if n < 2:
-        raise DimensionMismatch("classification needs n >= 2")
-    _check_cap(n, max_n)
-    supports = _supports(matrix)
-    if not all(supports):
-        return Violation(PermanentMismatch(ZERO))  # a zero row zeroes every product
-    witness = _first_degenerate(matrix, supports)
-    if witness is not None:
-        return Violation(witness)
-    # J is monomial, and its permanent is the scale product of its pattern.
-    sigma, scale = _pattern(matrix, supports)
-    value = _prod(scale)
-    if value != 1:
-        return Violation(PermanentMismatch(value))
-    return Symmetry(sigma, scale)
+    found = _decide(matrix, max_n)
+    return found if type(found) is Violation else Symmetry(*found)
 
 
 def classify_affine(
@@ -216,10 +211,10 @@ def classify_affine(
         raise DimensionMismatch(
             f"translation length {len(translation)} for a {matrix.n}x{matrix.n} matrix"
         )
-    report = invariance_system_check(matrix, max_n=max_n)
-    if isinstance(report, Violation):
-        return report
-    linear = _unchecked(ScaledPerm, sigma=report.sigma, scale=report.scale)
+    found = _decide(matrix, max_n)
+    if type(found) is Violation:
+        return found
+    linear = _unchecked(ScaledPerm, sigma=found[0], scale=found[1])
     return _unchecked(AffineSymmetry, linear=linear, translation=translation)
 
 
@@ -229,14 +224,13 @@ def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:
     E_sigma is the unscaled permutation matrix for sigma.  Entry (i, j) of
     the product is matrix[i, sigma^{-1}(j)], so it is diagonal exactly when
     row i is zero off column sigma^{-1}(i), and it has determinant 1 only if
-    that entry is nonzero too.  So one O(n^2) support scan decides, with no
-    matrix product and no eigensolver.
+    that entry is nonzero too.  So the classifier's O(n^2) scan decides, with
+    no matrix product and no eigensolver.
     """
     if matrix.n != sigma.n:
         raise DimensionMismatch(f"matrix size {matrix.n} vs permutation on {sigma.n} points")
-    columns = [j - 1 for j in sigma.inverse().image]
-    supports = _supports(matrix)
-    return supports == [[j] for j in columns] and _prod(map(getitem, matrix.rows, columns)) == 1
+    found = _scan(matrix)
+    return type(found) is tuple and found[0].image == sigma.inverse().image and _prod(found[1]) == 1
 
 
 def witness_violates(
@@ -244,11 +238,12 @@ def witness_violates(
 ) -> bool:
     """Re-evaluate a witness against the matrix it was issued for."""
     if isinstance(witness, DegenerateTuple):
-        if len(witness.indices) != matrix.n:
-            return False
-        if len(set(witness.indices)) == matrix.n:
+        n, indices = matrix.n, witness.indices
+        if len(indices) != n or not all(type(k) is int and 1 <= k <= n for k in indices):
+            return False  # not n column indices of the matrix (a bool is not an int)
+        if len(set(indices)) == n:
             return False  # not degenerate
-        product = _prod(matrix.rows[i][k - 1] for i, k in enumerate(witness.indices))
+        product = _prod(matrix.rows[i][k - 1] for i, k in enumerate(indices))
         return product != 0 and product == witness.product
     if isinstance(witness, PermanentMismatch):
         return witness.value != 1 and permanent(matrix, max_n=max_n) == witness.value
@@ -257,9 +252,11 @@ def witness_violates(
 
 def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng) -> RationalMatrix:
     """``dense``, element's dense form, with one extra nonzero entry off the pattern."""
+    from .sampling import random_nonzero_rational
+
     n = element.n
     row = rng.randrange(n) + 1
-    on_column = element.sigma(row)
+    on_column = element.sigma.image[row - 1]
     column = rng.choice([j for j in range(1, n + 1) if j != on_column])
     rows = list(dense.rows)
     entries = rows[row - 1]
@@ -278,24 +275,20 @@ def theorem_oracle(
     re-evaluates as genuine.  Each trial draws its randomness from
     (seed, trial index) only, so the report is schedule-independent.
     """
+    from .sampling import random_scaled_perm, trial_rng
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n < 2:
         raise DimensionMismatch("the oracle needs n >= 2")
     _check_cap(n, max_n)
-    positives_passed = 0
-    perturbed_rejected = 0
+    positives_passed = perturbed_rejected = 0
     for index in range(trials):
         rng = trial_rng(seed, index)
         element = random_scaled_perm(n, rng)
         dense = element.to_dense()
         report = invariance_system_check(dense, max_n=max_n)
-        if (
-            isinstance(report, Symmetry)
-            and report.sigma == element.sigma
-            and report.scale == element.scale
-        ):
-            positives_passed += 1
+        positives_passed += report == Symmetry(element.sigma, element.scale)
         perturbed = _inject_off_pattern(element, dense, rng)
         perturbed_report = invariance_system_check(perturbed, max_n=max_n)
         if isinstance(perturbed_report, Violation) and witness_violates(

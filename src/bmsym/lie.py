@@ -38,6 +38,11 @@ def _as_number(value):
     return value if isinstance(value, float) else as_fraction(value)
 
 
+def _exact(values) -> list:
+    """``values`` as exact Fractions: floats converted, exact entries as they are."""
+    return [Fraction(v) if isinstance(v, float) else v for v in values]
+
+
 def _ratio_product(values) -> tuple[int, int]:
     """The exact product of floats (or Fractions) as an unreduced
     ``(numerator, denominator)`` with a positive denominator, ``(1, 1)`` when
@@ -158,7 +163,7 @@ class TracelessDiagonal(_Diagonal):
 def _traceless(head: tuple) -> TracelessDiagonal:
     """``head`` completed by minus its exact sum, rounded once if a float (never -0.0)."""
     try:
-        last = -sum(map(Fraction, head))
+        last = -sum(_exact(head))
         last = float(last) if any(isinstance(v, float) for v in head) else last
     except (OverflowError, ValueError):  # a non-finite entry, or a last one beyond the range
         raise TraceNotZero(f"chart {head!r} has no finite traceless completion") from None
@@ -233,7 +238,7 @@ def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
     return TracelessDiagonal(
         tuple(
             float(_add(_mul(a, b), _neg(_mul(b, a))))
-            for a, b in zip(map(Fraction, x.diag), map(Fraction, y.diag))
+            for a, b in zip(_exact(x.diag), _exact(y.diag))
         )
     )
 

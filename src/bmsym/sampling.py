@@ -2,11 +2,13 @@
 
 Scales are ratios of integers in [-9, 9] without zero; the last scale is the
 reciprocal of the running product, so unit products hold exactly by
-construction.  A shuffle of 1..n is a bijection, so sampled permutations and
-scaled permutations are built unchecked.  Every generator takes an explicit
-random.Random so callers control reproducibility; trial_rng derives an
-independent stream per (seed, index) pair, making batch runs
-schedule-independent.
+construction.  A ratio p/q is drawn as row p, then column q, of a table
+built at import: the draws of ``Fraction(rng.choice(ints),
+rng.choice(ints))``, without building a Fraction.  A shuffle of 1..n is a
+bijection, so sampled permutations and scaled permutations are built
+unchecked.  Every generator takes an explicit random.Random so callers
+control reproducibility; trial_rng derives an independent stream per
+(seed, index) pair, making batch runs schedule-independent.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .group import ScaledPerm
 from .matrix import _inv, _prod, _unchecked
 from .permutation import Permutation
 
-_NONZERO = tuple(v for v in range(-9, 10) if v != 0)
-_POSITIVE = tuple(range(1, 10))
+_NONZERO = tuple(tuple(Fraction(p, q) for q in range(-9, 10) if q) for p in range(-9, 10) if p)
+_POSITIVE = tuple(tuple(Fraction(p, q) for q in range(1, 10)) for p in range(1, 10))
 
 
 def trial_rng(seed: int, index: int) -> random.Random:
@@ -28,11 +30,11 @@ def trial_rng(seed: int, index: int) -> random.Random:
 
 
 def random_nonzero_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(_NONZERO), rng.choice(_NONZERO))
+    return rng.choice(rng.choice(_NONZERO))
 
 
 def random_positive_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.choice(_POSITIVE), rng.choice(_POSITIVE))
+    return rng.choice(rng.choice(_POSITIVE))
 
 
 def random_permutation(n: int, rng: random.Random) -> Permutation:

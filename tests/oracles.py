@@ -6,8 +6,9 @@ steps, checks the permanent at a few larger n; membership is checked against
 the dense product it reads off, the samplers against the same draws built
 through the validating constructors, the Lie bracket against numpy's
 dense matrix products, the unit-product tolerance test against the
-``Fraction`` operators, and the Lie group and algebra operations, which
-complete the chart of their result, against the entrywise formulas.  The
+``Fraction`` operators, the Lie group and algebra operations, which
+complete the chart of their result, against the entrywise formulas, and the
+classifier's one row pass against the two-pass decision it replaced.  The
 determinant and the diagonal read-off of a RationalMatrix live here too,
 since only the tests use them.
 """
@@ -23,6 +24,7 @@ from bmsym import (
     DegenerateTuple,
     DiagonalGroupElement,
     DimensionMismatch,
+    NotMonomial,
     PermanentMismatch,
     Permutation,
     ScaledPerm,
@@ -31,7 +33,6 @@ from bmsym import (
     Violation,
     extract_pattern,
 )
-from bmsym.sampling import random_nonzero_rational, random_positive_rational
 
 
 def _product(m, columns):
@@ -116,6 +117,68 @@ def enumerated_check(m):
     return Symmetry(*extract_pattern(m))
 
 
+# The classifier's decision in two passes: the whole support of every row
+# first, then the first degenerate tuple from the supports, then the
+# monomial read-off.
+
+
+def _supports(m):
+    return [[j for j, v in enumerate(row) if v] for row in m.rows]
+
+
+def _first_degenerate(m, supports):
+    """For supports that are all nonempty; None exactly when m is monomial."""
+    n = m.n
+    columns = [support[0] for support in supports]
+    if len(set(columns)) == n:
+        i = next((i for i in reversed(range(n)) if len(supports[i]) > 1), None)
+        if i is None:
+            return None
+        columns[i] = supports[i][1]
+    product = math.prod((m.rows[i][j] for i, j in enumerate(columns)), start=Fraction(1))
+    return DegenerateTuple(tuple(j + 1 for j in columns), product)
+
+
+def _pattern(m, supports):
+    columns = [support[0] for support in supports]
+    scale = tuple(m.rows[i][j] for i, j in enumerate(columns))
+    return Permutation(tuple(j + 1 for j in columns)), scale
+
+
+def two_pass_degenerate(m):
+    """degenerate_products_zero in two passes."""
+    supports = _supports(m)
+    if not all(supports):
+        return None
+    return _first_degenerate(m, supports)
+
+
+def two_pass_pattern(m):
+    """extract_pattern in two passes, with its NotMonomial messages."""
+    supports = _supports(m)
+    for i, support in enumerate(supports):
+        if len(support) != 1:
+            raise NotMonomial(f"row {i + 1} has {len(support)} nonzero entries, expected 1")
+    if len({support[0] for support in supports}) != m.n:
+        raise NotMonomial(f"nonzero columns {[support[0] + 1 for support in supports]} repeat")
+    return _pattern(m, supports)
+
+
+def two_pass_check(m):
+    """invariance_system_check in two passes."""
+    supports = _supports(m)
+    if not all(supports):
+        return Violation(PermanentMismatch(Fraction(0)))
+    witness = _first_degenerate(m, supports)
+    if witness is not None:
+        return Violation(witness)
+    sigma, scale = _pattern(m, supports)
+    value = math.prod(scale, start=Fraction(1))
+    if value != 1:
+        return Violation(PermanentMismatch(value))
+    return Symmetry(sigma, scale)
+
+
 def numpy_bracket(x, y):
     """Diagonal of the commutator XY - YX of the dense float matrices, by numpy."""
     dense_x = np.diag([float(v) for v in x.diag])
@@ -196,11 +259,20 @@ def dense_membership(m, sigma):
     return is_diagonal(product) and math.prod(diagonal(product), start=Fraction(1)) == 1
 
 
+NONZERO = [v for v in range(-9, 10) if v != 0]
+POSITIVE = list(range(1, 10))
+
+
+def drawn_ratio(rng, ints):
+    """The sampler's ratio of two integers drawn from ``ints``, built by ``Fraction``."""
+    return Fraction(rng.choice(ints), rng.choice(ints))
+
+
 def constructed_random_scaled_perm(n, rng, *, positive=False):
     """random_scaled_perm through the validating constructors, with the same
     draws from rng in the same order."""
-    draw = random_positive_rational if positive else random_nonzero_rational
-    head = [draw(rng) for _ in range(n - 1)]
+    ints = POSITIVE if positive else NONZERO
+    head = [drawn_ratio(rng, ints) for _ in range(n - 1)]
     product = math.prod(head, start=Fraction(1))
     image = list(range(1, n + 1))
     rng.shuffle(image)
@@ -214,4 +286,4 @@ def constructed_off_pattern(element, rng):
     row = rng.randrange(n) + 1
     on_column = element.sigma(row)
     column = rng.choice([j for j in range(1, n + 1) if j != on_column])
-    return element.to_dense().with_entry(row, column, random_nonzero_rational(rng))
+    return element.to_dense().with_entry(row, column, drawn_ratio(rng, NONZERO))

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmsym import (
+    DEFAULT_MAX_N,
     DegenerateTuple,
     DimensionCapExceeded,
     DimensionMismatch,
@@ -41,6 +43,9 @@ from oracles import (
     enumerated_permanent,
     ryser_permanent,
     support_scan_degenerate,
+    two_pass_check,
+    two_pass_degenerate,
+    two_pass_pattern,
 )
 
 WORKED = RationalMatrix([[0, 2, 0], [0, 0, 3], [F(1, 6), 0, 0]])
@@ -307,6 +312,12 @@ def test_witness_violates_negative_cases():
     assert not witness_violates(m, PermanentMismatch(F(3)))
     # a non-degenerate tuple is never a witness
     assert not witness_violates(m, DegenerateTuple((1, 2, 3), F(1)))
+    # every index must be a column 1..n: 0 and -2 would wrap round to a real
+    # column, 4 is past the last, and a float, a bool or a list is not a column index
+    ones = RationalMatrix([[1, 1, 1]] * 3)
+    assert witness_violates(ones, DegenerateTuple((1, 1, 2), F(1)))
+    for indices in [(0, 0, 1), (-2, 1, 1), (4, 1, 1), (1.0, 1, 2), (True, 1, 1), ([1], 1, 1)]:
+        assert not witness_violates(ones, DegenerateTuple(indices, F(1))), indices
 
 
 # cross-checks of the pattern classifier and the support-expansion permanent
@@ -358,6 +369,44 @@ def test_classifier_matches_enumeration(n):
         assert permanent(m) == enumerated_permanent(m), m
         assert degenerate_products_zero(m) == support_scan_degenerate(m), m
         assert invariance_system_check(m) == enumerated_check(m), m
+
+
+def _outcome(decide, m, **kwargs):
+    try:
+        return decide(m, **kwargs)
+    except NotMonomial as error:
+        return f"NotMonomial: {error}"
+
+
+def assert_one_pass_matches_two_passes(m, max_n=DEFAULT_MAX_N):
+    report = invariance_system_check(m, max_n=max_n)
+    assert report == two_pass_check(m), m
+    assert degenerate_products_zero(m, max_n=max_n) == two_pass_degenerate(m), m
+    assert _outcome(extract_pattern, m) == _outcome(two_pass_pattern, m), m
+    if type(report) is Symmetry:  # the matrix's own entries, read off unchanged
+        entries = [row[j - 1] for row, j in zip(m.rows, report.sigma.image)]
+        assert all(map(operator.is_, report.scale, entries)), m
+    elif type(report.witness) is DegenerateTuple:
+        assert all(type(k) is int for k in report.witness.indices), m
+        assert type(report.witness.product) is F, m
+    else:
+        assert type(report.witness.value) is F, m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_one_pass_matches_the_two_pass_decision(n):
+    rng = random.Random(f"two-pass:{n}")
+    for m in _cross_check_matrices(n, rng, 400):
+        assert_one_pass_matches_two_passes(m)
+
+
+def test_one_pass_matches_the_two_pass_decision_at_n64():
+    rng = random.Random("two-pass:64")
+    for index in range(60):
+        rows = _monomial_rows(64, rng)
+        if index % 2:
+            rows = _perturb(rows, rng, rng.randint(1, 3))
+        assert_one_pass_matches_two_passes(RationalMatrix(rows), max_n=64)
 
 
 def test_permanent_matches_sympy():

@@ -283,6 +283,8 @@ def test_subcommand_loads_only_its_layers(subcommand):
         assert not modules & {"bmsym.classify", "bmsym.lie"}
     if subcommand in LIE_SUBCOMMANDS:
         assert "bmsym.classify" not in modules
+    if subcommand in ("classify", "membership"):  # only the oracle samples
+        assert "bmsym.sampling" not in modules
 
 
 def test_import_bmsym_loads_no_submodule():
