@@ -2,12 +2,13 @@
 
 Group elements are diag(a_1..a_n) with entry product 1; the chart drops the
 last entry, which is redundant.  The tangent space at the identity consists
-of traceless diagonals, with exp/log acting componentwise.  Entries may be
-floats or exact rationals: rational elements keep all group arithmetic
-exact, while exp/log always produce floats.  The unit product and the zero
-trace hold within TOLERANCE when some entry is a float, exactly otherwise.
-Operations compute their result's chart and one rule per type completes
-it, unchecked; a float result is thus projected onto the group or algebra.
+of traceless diagonals, with exp/log acting componentwise on the chart.
+Entries may be floats or exact rationals: rational elements keep all group
+arithmetic exact, while exp/log always produce floats.  The unit product and
+the zero trace hold within TOLERANCE when some entry is a float, exactly
+otherwise.  Every operation computes its result's chart and one rule per
+type completes it, unchecked (``dn1_new`` for the group, ``_traceless`` for
+the algebra); a float result is thus projected onto the group or algebra.
 """
 
 from __future__ import annotations
@@ -126,17 +127,8 @@ class TracelessDiagonal(_Diagonal):
     """diag(t_1..t_n), trace 0 (within TOLERANCE if any is a float); tangent data for exp."""
 
     def _check(self, diag: tuple) -> None:
-        floats = [v for v in diag if isinstance(v, float)]
-        if not floats:
-            trace = sum(diag)
-        elif not all(map(math.isfinite, floats)):
-            trace = sum(floats)  # NaN or infinite, which "not <=" fails
-        else:
-            try:  # correctly rounded
-                trace = math.fsum(diag)
-            except OverflowError:  # a partial sum or an exact entry beyond the float range
-                trace = sum(map(Fraction, diag))
-        if not abs(trace) <= (TOLERANCE if floats else 0):
+        trace = _trace(diag)  # NaN for a NaN entry, which "not <=" fails
+        if not abs(trace) <= (TOLERANCE if any(isinstance(v, float) for v in diag) else 0):
             raise TraceNotZero(f"trace is {trace}, expected 0")
 
     @classmethod
@@ -151,7 +143,7 @@ class TracelessDiagonal(_Diagonal):
         return _traceless(tuple(a + b for a, b in zip(self.diag[:-1], other.diag[:-1])))
 
     def __neg__(self) -> "TracelessDiagonal":
-        return TracelessDiagonal(tuple(-v for v in self.diag))
+        return _unchecked(TracelessDiagonal, diag=tuple(-v for v in self.diag))
 
     def scaled(self, factor) -> "TracelessDiagonal":
         factor = _as_number(factor)
@@ -160,13 +152,29 @@ class TracelessDiagonal(_Diagonal):
     __rmul__ = scaled
 
 
-def _traceless(head: tuple) -> TracelessDiagonal:
-    """``head`` completed by minus its exact sum, rounded once if a float (never -0.0)."""
+def _trace(diag):
+    """The sum of ``diag``: exact if no entry is a float, else correctly
+    rounded, or NaN or infinite when a float entry is."""
+    floats = [v for v in diag if isinstance(v, float)]
+    if not all(map(math.isfinite, floats)):
+        return sum(floats)
     try:
-        last = -sum(_exact(head))
-        last = float(last) if any(isinstance(v, float) for v in head) else last
-    except (OverflowError, ValueError):  # a non-finite entry, or a last one beyond the range
-        raise TraceNotZero(f"chart {head!r} has no finite traceless completion") from None
+        return math.fsum(diag) if floats else sum(diag)
+    except OverflowError:  # a partial sum or an exact entry beyond the float range
+        return sum(map(Fraction, diag))
+
+
+def _traceless(head: tuple) -> TracelessDiagonal:
+    """``head`` completed by minus its trace, rounded once if a float (never -0.0)."""
+    trace = _trace(head)
+    if not any(isinstance(v, float) for v in head):
+        return _unchecked(TracelessDiagonal, diag=(*head, -trace))
+    try:
+        last = 0.0 - trace
+    except OverflowError:  # an exact trace beyond the float range
+        last = math.inf
+    if not math.isfinite(last):
+        raise TraceNotZero(f"chart {head!r} has no finite traceless completion")
     return _unchecked(TracelessDiagonal, diag=(*head, last))
 
 
@@ -204,20 +212,23 @@ def chart(a: DiagonalGroupElement) -> tuple:
 
 
 def mu(a: DiagonalGroupElement, b: DiagonalGroupElement) -> DiagonalGroupElement:
-    """The division map a^{-1} b, componentwise b_i / a_i up to rounding."""
-    return a.inverse().multiply(b)
+    """The division map a^{-1} b: the chart b_i / a_i, completed by ``dn1_new``."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"sizes differ: {a.n} vs {b.n}")
+    return dn1_new(tuple(y / x for x, y in zip(a.diag[:-1], b.diag[:-1])))
 
 
 def lie_exp(x: TracelessDiagonal) -> DiagonalGroupElement:
-    """Componentwise exponential; lands in the group since the trace is 0."""
-    return DiagonalGroupElement(tuple(math.exp(float(v)) for v in x.diag))
+    """Componentwise exponential of the chart, completed by ``dn1_new``."""
+    return dn1_new(tuple(math.exp(float(v)) for v in x.diag[:-1]))
 
 
 def lie_log(a: DiagonalGroupElement) -> TracelessDiagonal:
-    """Componentwise logarithm, defined on the all-positive component only."""
+    """Componentwise logarithm of the chart, completed by ``_traceless``;
+    defined on the all-positive component only."""
     if any(v <= 0 for v in a.diag):
         raise NotIdentityComponent("logarithm needs all diagonal entries positive")
-    return TracelessDiagonal(tuple(math.log(float(v)) for v in a.diag))
+    return _traceless(tuple(math.log(float(v)) for v in a.diag[:-1]))
 
 
 def basis(n: int, i: int) -> TracelessDiagonal:
@@ -230,17 +241,13 @@ def basis(n: int, i: int) -> TracelessDiagonal:
 
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
-    """Commutator XY - YX of the diagonal matrices, entry by entry: the
-    i-th entry is x_i y_i - y_i x_i, formed exactly on the integer ratios,
-    so it is 0.0 at every magnitude (diagonal matrices commute)."""
+    """Commutator XY - YX of the diagonal matrices: the chart entry i is
+    x_i y_i - y_i x_i, formed exactly on the integer ratios, so it is 0.0 at
+    every magnitude (diagonal matrices commute); ``_traceless`` completes it."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes differ: {x.n} vs {y.n}")
-    return TracelessDiagonal(
-        tuple(
-            float(_add(_mul(a, b), _neg(_mul(b, a))))
-            for a, b in zip(_exact(x.diag), _exact(y.diag))
-        )
-    )
+    pairs = zip(_exact(x.diag[:-1]), _exact(y.diag[:-1]))
+    return _traceless(tuple(float(_add(_mul(a, b), _neg(_mul(b, a)))) for a, b in pairs))
 
 
 def structure_constants(n: int) -> memoryview:
@@ -258,15 +265,8 @@ def structure_constants(n: int) -> memoryview:
     from array import array  # imported here so that only this function loads it
 
     vectors = [basis(n, i) for i in range(1, n)]
-    flat = array("d")
-    for e_i in vectors:
-        for e_j in vectors:
-            b = bracket(e_i, e_j)
-            coefficients = [float(v) for v in b.diag[:-1]]
-            # The expansion is faithful only if the dropped last entry agrees.
-            if float(b.diag[-1]) != -sum(coefficients):
-                raise RuntimeError("bracket does not lie in the span of the basis")
-            flat.extend(coefficients)
+    brackets = (bracket(e_i, e_j) for e_i in vectors for e_j in vectors)
+    flat = array("d", (v for b in brackets for v in b.diag[:-1]))
     return memoryview(flat).cast("B").cast("d", (n - 1,) * 3)
 
 

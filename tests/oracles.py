@@ -6,8 +6,9 @@ steps, checks the permanent at a few larger n; membership is checked against
 the dense product it reads off, the samplers against the same draws built
 through the validating constructors, the Lie bracket against numpy's
 dense matrix products, the unit-product tolerance test against the
-``Fraction`` operators, the Lie group and algebra operations, which
-complete the chart of their result, against the entrywise formulas, and the
+``Fraction`` operators, the Lie group and algebra operations and exp/log,
+which complete the chart of their result, against the entrywise formulas
+(each result re-checked by its validating constructor), and the
 classifier's one row pass against the two-pass decision it replaced.  The
 determinant and the diagonal read-off of a RationalMatrix live here too,
 since only the tests use them.
@@ -24,6 +25,7 @@ from bmsym import (
     DegenerateTuple,
     DiagonalGroupElement,
     DimensionMismatch,
+    NotIdentityComponent,
     NotMonomial,
     PermanentMismatch,
     Permutation,
@@ -221,6 +223,18 @@ def entrywise_add(x, y):
 def entrywise_scaled(x, factor):
     factor = factor if isinstance(factor, float) else Fraction(factor)
     return TracelessDiagonal(tuple(factor * v for v in x.diag))
+
+
+def entrywise_exp(x):
+    """exp of every entry, the last one included."""
+    return DiagonalGroupElement(tuple(math.exp(float(v)) for v in x.diag))
+
+
+def entrywise_log(a):
+    """log of every entry, the last one included; on the all-positive component only."""
+    if any(v <= 0 for v in a.diag):
+        raise NotIdentityComponent("logarithm needs all diagonal entries positive")
+    return TracelessDiagonal(tuple(math.log(float(v)) for v in a.diag))
 
 
 def cofactor_det(m):

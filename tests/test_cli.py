@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -120,6 +121,24 @@ def test_lie_exp_and_log():
     assert abs(parsed["tdiag"][0] - 0.6931471805599453) < 1e-15
 
 
+TOLERANCE_EDGE = [
+    ("lie-exp", '{"n":2,"tdiag":[1e-12,0.0]}', "diag", math.exp(1e-12), bmsym.DiagonalGroupElement),
+    ("lie-log", '{"n":2,"diag":[10.0,0.10000000000009998]}', "tdiag", math.log(10.0),
+     bmsym.TracelessDiagonal),
+]
+
+
+@pytest.mark.parametrize("subcommand, document, key, first, constructor", TOLERANCE_EDGE)
+def test_exp_and_log_at_the_tolerance_edge(subcommand, document, key, first, constructor):
+    # exp or log of every entry put the product or trace just past TOLERANCE
+    result = run_cli(subcommand, "--input", document)
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.count("\n") == 1
+    entries = json.loads(result.stdout)[key]
+    assert entries[0] == first
+    constructor(tuple(entries))
+
+
 def test_lie_basis():
     result = run_cli("lie-basis", "--n", "3")
     assert result.returncode == 0
@@ -203,6 +222,7 @@ def _assert_one_line_input_error(result):
 
 def test_exp_overflow_is_exit_2():
     _assert_one_line_input_error(run_cli("lie-exp", "--input", '{"n":2,"tdiag":[800.0,-800.0]}'))
+    _assert_one_line_input_error(run_cli("lie-exp", "--input", '{"n":2,"tdiag":[-800.0,800.0]}'))
 
 
 def test_metric_beyond_float_range_is_exit_2():

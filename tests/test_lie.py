@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from oracles import (
     entrywise_add,
+    entrywise_exp,
     entrywise_inverse,
+    entrywise_log,
     entrywise_mu,
     entrywise_multiply,
     entrywise_scaled,
@@ -38,7 +40,7 @@ from bmsym import (
     mu,
     structure_constants,
 )
-from bmsym.lie import TOLERANCE, _near_unit_product, _ratio_product
+from bmsym.lie import TOLERANCE, _Diagonal, _near_unit_product, _ratio_product
 
 TOL = 1e-12
 
@@ -248,8 +250,19 @@ def test_mu_examples():
 
 
 def test_mu_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="sizes differ: 2 vs 3"):
         mu(DiagonalGroupElement.identity(2), DiagonalGroupElement.identity(3))
+
+
+def test_mu_divides_the_charts_without_an_intermediate_inverse():
+    # the last entry of a's inverse, the product of a's chart, is 1.8e308:
+    # above the float range, although every b_i / a_i lies within it
+    a = dn1_new((1.0, 1.0, 2.0, 18.0, 56.0, 9.000000000000001e304))
+    b = dn1_new((1.0, 1.0, 1.0, 1.0, 1.0, 1e9))
+    result = mu(a, b)
+    assert DiagonalGroupElement(result.diag) == result
+    assert result.diag[:-1] == tuple(y / x for x, y in zip(a.diag[:-1], b.diag[:-1]))
+    assert result.diag[-1] == float(1 / math.prod(map(F, result.diag[:-1])))  # the chart, completed
 
 
 def test_multiplication_is_commutative_exact():
@@ -325,6 +338,22 @@ def test_lie_log_examples():
 def test_lie_log_off_positive_component():
     with pytest.raises(NotIdentityComponent):
         lie_log(DiagonalGroupElement((-1.0, -1.0, 1.0)))
+
+
+def test_exp_and_log_at_the_tolerance_edge_are_closed():
+    # exp or log of every entry put the product or trace just past TOLERANCE
+    x = TracelessDiagonal((1e-12, 0.0))
+    with pytest.raises(UnitProductViolation):
+        entrywise_exp(x)
+    a = lie_exp(x)
+    assert DiagonalGroupElement(a.diag) == a
+    assert a.diag[0] == math.exp(1e-12)
+    b = DiagonalGroupElement((10.0, 0.10000000000009998))
+    with pytest.raises(TraceNotZero):
+        entrywise_log(b)
+    y = lie_log(b)
+    assert TracelessDiagonal(y.diag) == y
+    assert y.diag == (math.log(10.0), -math.log(10.0))
 
 
 @given(st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=9))
@@ -630,3 +659,61 @@ def test_float_algebra_chains_from_the_tolerance_edge_are_closed(data, n):
         want = [entrywise(F(u), F(v), F(factor)) for u, v in zip(x.diag, y.diag)]
         assert all(abs(F(u) - v) <= F(1e-11) for u, v in zip(result.diag, want))
         x = result
+
+
+def assert_completes_the_entrywise_result(result, oracle, argument):
+    """``result`` passes its validating constructor and agrees with the
+    entrywise oracle: byte for byte on the chart, within 1e-11 relative (at
+    least 1e-11 absolute) on the last entry.  Where the oracle's constructor
+    rejects its own entries, the tolerance defect that completing the chart
+    mends, only the first check runs."""
+    assert all(type(v) is float for v in result.diag)
+    assert type(result)(result.diag) == result
+    try:
+        want = oracle(argument).diag
+    except (UnitProductViolation, TraceNotZero):
+        return
+    assert list(map(repr, result.diag[:-1])) == list(map(repr, want[:-1]))
+    assert abs(result.diag[-1] - want[-1]) <= max(abs(want[-1]), 1.0) * 1e-11
+
+
+@st.composite
+def traceless_at_the_tolerance(draw, n):
+    """Float elements whose trace is off 0 by as much as TOLERANCE admits."""
+    head = [draw(st.floats(min_value=-2, max_value=2)) for _ in range(n - 1)]
+    last = float(draw(st.sampled_from([1, -1])) * F(TOLERANCE) - sum(map(F, head)))
+    while abs(trace := sum(map(F, (*head, last)))) > F(TOLERANCE):  # rounding overshot
+        last = math.nextafter(last, -math.inf if trace > 0 else math.inf)
+    return TracelessDiagonal((*head, last))
+
+
+@given(st.data(), st.integers(min_value=2, max_value=8))
+def test_exp_and_log_equal_the_entrywise_oracles_on_the_chart(data, n):
+    a = DiagonalGroupElement(tuple(map(abs, data.draw(edge_group_elements(n)).diag)))
+    y = lie_log(a)
+    assert_completes_the_entrywise_result(y, entrywise_log, a)
+    # tangent vectors at the tolerance edge, and logs of up to 690 in magnitude
+    for x in (data.draw(edge_traceless(n)), data.draw(traceless_at_the_tolerance(n)), y):
+        try:
+            result = lie_exp(x)
+        except (UnitProductViolation, ZeroCoordinate):
+            assert not all(abs(t) <= math.log(1e300) for t in x.diag)
+            continue
+        assert_completes_the_entrywise_result(result, entrywise_exp, x)
+
+
+@pytest.mark.parametrize("entries", [F, float])
+def test_no_operation_goes_through_the_validating_constructor(monkeypatch, entries):
+    a = DiagonalGroupElement(tuple(map(entries, (2, 3, F(1, 6)))))
+    b = DiagonalGroupElement(tuple(map(entries, (F(1, 4), 1, 4))))
+    x = TracelessDiagonal(tuple(map(entries, (F(1, 2), -1, F(1, 2)))))
+    y = TracelessDiagonal(tuple(map(entries, (3, -2, -1))))
+
+    def refuse(self):
+        raise AssertionError("a result went through the validating constructor")
+
+    monkeypatch.setattr(_Diagonal, "__post_init__", refuse)
+    results = [a.multiply(b), a.inverse(), mu(a, b), x + y, x.scaled(entries(3)), -x]
+    results += [lie_exp(x), lie_log(a), bracket(x, y)]
+    assert [r.n for r in results] == [3] * len(results)
+    assert structure_constants(4).shape == (3, 3, 3)
