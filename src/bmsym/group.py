@@ -11,12 +11,9 @@ scales of product 1, matching lengths, exact entries), and so does ``apply``
 on a caller's vector.  ``compose``, ``inverse`` and ``to_dense`` build their
 results unchecked: the scales of a product multiply to 1 * 1 and those of an
 inverse to 1 / 1, so validity follows by algebra.  Past the constructors
-every scale, translation and coordinate is an exact ``Fraction``, so the
-group law, the action and ``metric_power`` multiply, invert and add them
-with the kernels of ``matrix``: the whole-vector ``_scaled_gather`` (the
-product's scales and the action) and ``vec_add``, and the scalar ``_inv``,
-``_neg`` (through ``vec_neg``) and ``_prod``.  All return the same
-``Fraction``s as the operators.
+every entry is an exact ``Fraction``, so each group-law and action method
+is one pass of a fused kernel of ``matrix`` (one gcd per entry, no
+intermediate vector) and ``metric_power`` is one ``_prod``.
 """
 
 from __future__ import annotations
@@ -35,8 +32,8 @@ from .errors import (
     UnitProductViolation,
     ZeroScale,
 )
-from .matrix import ONE, ZERO, RationalMatrix, _inv, _prod, _scaled_gather, _unchecked, as_fraction
-from .matrix import as_vector, vec_add, vec_neg
+from .matrix import ONE, ZERO, RationalMatrix, _affine_gather, _inverse_gather, _prod
+from .matrix import _scaled_gather, _unchecked, as_fraction, as_vector
 from .permutation import Permutation
 
 
@@ -93,7 +90,7 @@ class ScaledPerm:
 
     def inverse(self) -> "ScaledPerm":
         inv = self.sigma.inverse()
-        scale = tuple(_inv(self.scale[j - 1]) for j in inv.image)
+        scale, _ = _inverse_gather(self.scale, inv.image)
         return _unchecked(ScaledPerm, sigma=inv, scale=scale)
 
     def det(self) -> int:
@@ -102,14 +99,13 @@ class ScaledPerm:
 
     def apply(self, y: Sequence) -> tuple[Fraction, ...]:
         """Componentwise action: result[i] = scale[i] * y[sigma(i)]."""
+        return _scaled_gather(self.scale, self.sigma.image, self._checked_vector(y))
+
+    def _checked_vector(self, y: Sequence) -> tuple[Fraction, ...]:
         vec = as_vector(y)
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)}, expected {self.n}")
-        return self._act(vec)
-
-    def _act(self, vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        """``apply`` on an already-valid vector of length n."""
-        return _scaled_gather(self.scale, self.sigma.image, vec)
+        return vec
 
 
 @dataclass(frozen=True)
@@ -143,13 +139,15 @@ class AffineSymmetry:
         return self.linear.is_identity() and all(v == 0 for v in self.translation)
 
     def apply(self, x: Sequence) -> tuple[Fraction, ...]:
-        return vec_add(self.linear.apply(x), self.translation)
+        lin = self.linear
+        return _affine_gather(lin.scale, lin.sigma.image, lin._checked_vector(x), self.translation)
 
     def compose(self, other: "AffineSymmetry") -> "AffineSymmetry":
         """self after other: apply(compose(s, t), x) == apply(s, apply(t, x))."""
-        linear = self.linear.compose(other.linear)
-        translation = vec_add(self.linear._act(other.translation), self.translation)
-        return _unchecked(AffineSymmetry, linear=linear, translation=translation)
+        lin = self.linear
+        linear = lin.compose(other.linear)  # the size check, before the gather indexes
+        shift = _affine_gather(lin.scale, lin.sigma.image, other.translation, self.translation)
+        return _unchecked(AffineSymmetry, linear=linear, translation=shift)
 
     def __mul__(self, other: "AffineSymmetry") -> "AffineSymmetry":
         if not isinstance(other, AffineSymmetry):
@@ -157,8 +155,9 @@ class AffineSymmetry:
         return self.compose(other)
 
     def inverse(self) -> "AffineSymmetry":
-        linear = self.linear.inverse()
-        translation = vec_neg(linear._act(self.translation))
+        inv = self.linear.sigma.inverse()
+        scale, translation = _inverse_gather(self.linear.scale, inv.image, self.translation)
+        linear = _unchecked(ScaledPerm, sigma=inv, scale=scale)
         return _unchecked(AffineSymmetry, linear=linear, translation=translation)
 
 

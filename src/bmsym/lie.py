@@ -127,8 +127,12 @@ class TracelessDiagonal(_Diagonal):
     """diag(t_1..t_n), trace 0 (within TOLERANCE if any is a float); tangent data for exp."""
 
     def _check(self, diag: tuple) -> None:
+        floats = any(isinstance(v, float) for v in diag)
         trace = _trace(diag)  # NaN for a NaN entry, which "not <=" fails
-        if not abs(trace) <= (TOLERANCE if any(isinstance(v, float) for v in diag) else 0):
+        if not abs(trace) <= (TOLERANCE if floats else 0):
+            if floats and type(trace) is Fraction:  # fsum overflowed: the exact sum
+                beyond = abs(trace) > sys.float_info.max
+                trace = "beyond the float range" if beyond else float(trace)
             raise TraceNotZero(f"trace is {trace}, expected 0")
 
     @classmethod
@@ -220,7 +224,13 @@ def mu(a: DiagonalGroupElement, b: DiagonalGroupElement) -> DiagonalGroupElement
 
 def lie_exp(x: TracelessDiagonal) -> DiagonalGroupElement:
     """Componentwise exponential of the chart, completed by ``dn1_new``."""
-    return dn1_new(tuple(math.exp(float(v)) for v in x.diag[:-1]))
+    chart = []
+    for i, v in enumerate(map(float, x.diag[:-1]), 1):
+        try:
+            chart.append(math.exp(v))
+        except OverflowError:
+            raise UnitProductViolation(f"entry {i} is above the float range") from None
+    return dn1_new(chart)
 
 
 def lie_log(a: DiagonalGroupElement) -> TracelessDiagonal:

@@ -7,16 +7,15 @@ because validity follows by algebra.  Every stored entry is exactly a
 ``Fraction`` either way.
 
 Kernels: ``_mul``, ``_inv``, ``_add``, ``_neg`` and ``_prod`` do the
-scalar arithmetic of those operations (and of ``group``, ``classify``,
-``sampling`` and ``lie``); ``_scaled_gather`` (the group law and action of
-``group``) and ``vec_add`` do a whole vector in one loop, with no call per
-entry.  They take validated ``Fraction``s and read each integer ratio
-straight from the ``_numerator`` and ``_denominator`` slots (present on
-Python 3.10+), since ``as_integer_ratio`` is a Python-level method call.
-Each result is built from a ratio already in lowest terms with a positive
-denominator, so nothing is type-checked or reduced twice, and is exactly
-the ``Fraction`` (value, numerator, denominator, hash and type) that the
-operator it replaces returns; ``_inv`` raises ``ZeroDivisionError`` on 0.
+scalar arithmetic of ``@``, ``classify``, ``sampling`` and ``lie``.  The
+group law and action of ``group`` run on fused kernels, one loop each:
+``_scaled_gather`` (``s * y``), ``_affine_gather`` (``s * y + t``, formed as
+``(ns*ny*dt + ds*dy*nt) / (ds*dy*dt)``) and ``_inverse_gather`` (``1 / s``
+and ``-t / s``), each entry reduced by one gcd.  All read the integer ratios
+of validated ``Fraction``s from the ``_numerator`` and ``_denominator`` slots
+(Python 3.10+; ``as_integer_ratio`` is a method call) and build each result
+once, in lowest terms with a positive denominator: exactly the ``Fraction``
+(value, numerator, denominator, hash and type) that the operators return.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .errors import DimensionMismatch, NotSquare
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+Vec = Sequence[Fraction]
 
 
 def as_fraction(value) -> Fraction:
@@ -42,6 +42,8 @@ def as_fraction(value) -> Fraction:
 
 
 def as_vector(values: Iterable) -> tuple[Fraction, ...]:
+    if type(values) in (tuple, list) and set(map(type, values)) == {Fraction}:
+        return tuple(values)  # already exact: one C-speed pass, no call per entry
     return tuple(as_fraction(v) for v in values)
 
 
@@ -118,53 +120,52 @@ def _prod(values: Iterable[Fraction]) -> Fraction:
     return _fraction(numerator // g, denominator // g)
 
 
-def _scaled_gather(
-    scale: Sequence[Fraction], image: Sequence[int], vec: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """``tuple(scale[i] * vec[image[i] - 1])``, each entry by ``_mul``'s rule."""
+def _scaled_gather(scale: Vec, image: Sequence[int], vec: Vec) -> tuple[Fraction, ...]:
+    """``tuple(scale[i] * vec[image[i] - 1])``."""
     gcd, new, out = math.gcd, object.__new__, []
     for a, s in zip(scale, image):
         b = vec[s - 1]
-        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
-        g = gcd(na, db)
-        if g > 1:
-            na //= g
-            db //= g
-        g = gcd(nb, da)
-        if g > 1:
-            nb //= g
-            da //= g
+        n, d = a._numerator * b._numerator, a._denominator * b._denominator
+        g = gcd(n, d)
         f = new(Fraction)
-        f._numerator, f._denominator = na * nb, da * db
+        f._numerator, f._denominator = n // g, d // g
         out.append(f)
     return tuple(out)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """``tuple(u[i] + v[i])``, each entry by ``_add``'s rule."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
+def _affine_gather(scale: Vec, image: Sequence[int], vec: Vec, shift: Vec) -> tuple[Fraction, ...]:
+    """``tuple(scale[i] * vec[image[i] - 1] + shift[i])``."""
     gcd, new, out = math.gcd, object.__new__, []
-    for a, b in zip(u, v):
-        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
-        g = gcd(da, db)
-        if g == 1:
-            na, da = na * db + da * nb, da * db
-        else:
-            s = da // g
-            na, da = na * (db // g) + nb * s, s * db
-            g = gcd(na, g)
-            if g > 1:
-                na //= g
-                da //= g
+    for a, s, t in zip(scale, image, shift):
+        b, dt = vec[s - 1], t._denominator
+        d = a._denominator * b._denominator
+        n, d = a._numerator * b._numerator * dt + d * t._numerator, d * dt
+        g = gcd(n, d)
         f = new(Fraction)
-        f._numerator, f._denominator = na, da
+        f._numerator, f._denominator = n // g, d // g
         out.append(f)
     return tuple(out)
 
 
-def vec_neg(u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(map(_neg, u))
+def _inverse_gather(scale: Vec, image: Sequence[int], shift: Vec | None = None) -> tuple:
+    """Inverse scales ``1 / scale[j - 1]`` and shift ``-shift[j - 1] / scale[j - 1]``, j in image."""
+    gcd, new, inverses, quotients = math.gcd, object.__new__, [], []
+    for j in image:
+        a = scale[j - 1]
+        n, d = a._denominator, a._numerator
+        if d < 0:
+            n, d = -n, -d
+        f = new(Fraction)
+        f._numerator, f._denominator = n, d
+        inverses.append(f)
+        if shift is not None:  # -t / s = -t * (n / d), with d > 0 already
+            t = shift[j - 1]
+            n, d = -t._numerator * n, t._denominator * d
+            g = gcd(n, d)
+            f = new(Fraction)
+            f._numerator, f._denominator = n // g, d // g
+            quotients.append(f)
+    return tuple(inverses), tuple(quotients)
 
 
 class RationalMatrix:

@@ -9,7 +9,8 @@ dense matrix products, the unit-product tolerance test against the
 ``Fraction`` operators, the Lie group and algebra operations and exp/log,
 which complete the chart of their result, against the entrywise formulas
 (each result re-checked by its validating constructor), and the
-classifier's one row pass against the two-pass decision it replaced.  The
+classifier's one row pass against the two-pass decision it replaced, and
+the fused group law and action against the chained kernels they replaced.  The
 determinant and the diagonal read-off of a RationalMatrix live here too,
 since only the tests use them.
 """
@@ -22,6 +23,7 @@ from operator import add, sub
 import numpy as np
 
 from bmsym import (
+    AffineSymmetry,
     DegenerateTuple,
     DiagonalGroupElement,
     DimensionMismatch,
@@ -35,6 +37,7 @@ from bmsym import (
     Violation,
     extract_pattern,
 )
+from bmsym.matrix import _inv, _neg, _unchecked, as_fraction
 
 
 def _product(m, columns):
@@ -197,6 +200,98 @@ def near_unit_product(values, tolerance):
         return False
     product = math.prod(map(Fraction, values), start=Fraction(1))
     return abs(product - 1) <= Fraction(tolerance)
+
+
+# The group law and action as the chains of whole-vector kernels that the fused
+# kernels replaced: a cross-cancelled product per entry, then an entrywise sum
+# or negation, each step building its own Fractions.
+
+
+def cross_cancel_gather(scale, image, vec):
+    """``tuple(scale[i] * vec[image[i] - 1])``, cancelling across before multiplying."""
+    gcd, new, out = math.gcd, object.__new__, []
+    for a, s in zip(scale, image):
+        b = vec[s - 1]
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = gcd(na, db)
+        if g > 1:
+            na //= g
+            db //= g
+        g = gcd(nb, da)
+        if g > 1:
+            nb //= g
+            da //= g
+        f = new(Fraction)
+        f._numerator, f._denominator = na * nb, da * db
+        out.append(f)
+    return tuple(out)
+
+
+def vec_add(u, v):
+    """``tuple(u[i] + v[i])``, reducing by the gcd of the denominators first."""
+    if len(u) != len(v):
+        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
+    gcd, new, out = math.gcd, object.__new__, []
+    for a, b in zip(u, v):
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = gcd(da, db)
+        if g == 1:
+            na, da = na * db + da * nb, da * db
+        else:
+            s = da // g
+            na, da = na * (db // g) + nb * s, s * db
+            g = gcd(na, g)
+            if g > 1:
+                na //= g
+                da //= g
+        f = new(Fraction)
+        f._numerator, f._denominator = na, da
+        out.append(f)
+    return tuple(out)
+
+
+def vec_neg(u):
+    return tuple(map(_neg, u))
+
+
+def _act(p, vec):
+    return cross_cancel_gather(p.scale, p.sigma.image, vec)
+
+
+def chained_scaled_apply(p, y):
+    """``ScaledPerm.apply``, validating ``y`` entry by entry."""
+    vec = tuple(as_fraction(v) for v in y)
+    if len(vec) != p.n:
+        raise DimensionMismatch(f"vector length {len(vec)}, expected {p.n}")
+    return _act(p, vec)
+
+
+def chained_scaled_compose(p, q):
+    if p.n != q.n:
+        raise DimensionMismatch(f"cannot compose sizes {p.n} and {q.n}")
+    scale = cross_cancel_gather(p.scale, p.sigma.image, q.scale)
+    return _unchecked(ScaledPerm, sigma=q.sigma.compose(p.sigma), scale=scale)
+
+
+def chained_scaled_inverse(p):
+    inv = p.sigma.inverse()
+    return _unchecked(ScaledPerm, sigma=inv, scale=tuple(_inv(p.scale[j - 1]) for j in inv.image))
+
+
+def chained_affine_apply(s, x):
+    return vec_add(chained_scaled_apply(s.linear, x), s.translation)
+
+
+def chained_affine_compose(s, t):
+    linear = chained_scaled_compose(s.linear, t.linear)
+    translation = vec_add(_act(s.linear, t.translation), s.translation)
+    return _unchecked(AffineSymmetry, linear=linear, translation=translation)
+
+
+def chained_affine_inverse(s):
+    linear = chained_scaled_inverse(s.linear)
+    translation = vec_neg(_act(linear, s.translation))
+    return _unchecked(AffineSymmetry, linear=linear, translation=translation)
 
 
 # The Lie operations entry by entry, each result re-checked by its validating

@@ -221,8 +221,21 @@ def _assert_one_line_input_error(result):
 
 
 def test_exp_overflow_is_exit_2():
-    _assert_one_line_input_error(run_cli("lie-exp", "--input", '{"n":2,"tdiag":[800.0,-800.0]}'))
+    result = run_cli("lie-exp", "--input", '{"n":2,"tdiag":[800.0,-800.0]}')
+    _assert_one_line_input_error(result)
+    assert result.stderr == "error: entry 1 is above the float range\n"
     _assert_one_line_input_error(run_cli("lie-exp", "--input", '{"n":2,"tdiag":[-800.0,800.0]}'))
+
+
+@pytest.mark.parametrize("tdiag, shown", [
+    ("[1e308,1e308,-1e308]", "1e+308"),
+    ("[1e308,1e308,1e308]", "beyond the float range"),
+])
+def test_trace_past_the_float_sum_is_a_short_line(tdiag, shown):
+    result = run_cli("lie-exp", "--input", f'{{"n":3,"tdiag":{tdiag}}}')
+    _assert_one_line_input_error(result)
+    assert len(result.stderr.encode()) < 120
+    assert result.stderr == f"error: trace is {shown}, expected 0\n"
 
 
 def test_metric_beyond_float_range_is_exit_2():

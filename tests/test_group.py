@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bmsym import (
     AffineSymmetry,
@@ -13,11 +13,28 @@ from bmsym import (
     ScaledPerm,
     UnitProductViolation,
     ZeroScale,
+    as_fraction,
     metric,
     metric_power,
 )
-from helpers import affine_symmetries, scaled_perms, vectors
-from oracles import cofactor_det
+from helpers import (
+    affine_symmetries,
+    nonzero_rationals,
+    rationals,
+    scaled_perms,
+    vectors,
+    wide_nonzero_rationals,
+    wide_rationals,
+)
+from oracles import (
+    chained_affine_apply,
+    chained_affine_compose,
+    chained_affine_inverse,
+    chained_scaled_apply,
+    chained_scaled_compose,
+    chained_scaled_inverse,
+    cofactor_det,
+)
 
 WORKED = ScaledPerm(Permutation((2, 3, 1)), (F(2), F(3), F(1, 6)))
 
@@ -331,3 +348,72 @@ def test_translation_does_not_affect_invariance(s):
     # the fiber transformation law uses only the Jacobian
     y = (F(2), F(3), F(5))
     assert metric_power(s.linear.apply(y)) == metric_power(y)
+
+
+# the fused group law and action against the chained kernels they replaced
+
+WIDE_SCALES = st.one_of(nonzero_rationals, wide_nonzero_rationals)
+WIDE_ENTRIES = st.one_of(rationals, wide_rationals)
+
+
+def assert_same_fractions(got, want):
+    assert type(got) is tuple and len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is F
+        assert (a.numerator, a.denominator, hash(a)) == (b.numerator, b.denominator, hash(b))
+
+
+def assert_same_element(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, AffineSymmetry):
+        assert_same_fractions(got.translation, want.translation)
+        got, want = got.linear, want.linear
+    assert got.sigma == want.sigma
+    assert_same_fractions(got.scale, want.scale)
+
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # any exception: its type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 64])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fused_group_law_matches_the_chained_kernels(n, data):
+    draw = data.draw
+    s, t = (draw(affine_symmetries(n=n, scales=WIDE_SCALES, shifts=WIDE_ENTRIES)) for _ in "st")
+    y = draw(vectors(n, entries=WIDE_ENTRIES))
+    for a, b in ((s, t), (AffineSymmetry.linear_only(s.linear), t), (s, s.inverse())):
+        assert_same_element(a.compose(b), chained_affine_compose(a, b))
+        assert_same_element(a.inverse(), chained_affine_inverse(a))
+        assert_same_element(a.linear.compose(b.linear), chained_scaled_compose(a.linear, b.linear))
+        assert_same_element(a.linear.inverse(), chained_scaled_inverse(a.linear))
+        # exact vectors take the fast validation; ints and iterators the general one
+        want = chained_affine_apply(a, y)
+        for point in (y, list(y), iter(y)):
+            assert_same_fractions(a.apply(point), want)
+        mixed = (1, *y[1:])
+        assert_same_fractions(a.apply(mixed), chained_affine_apply(a, mixed))
+        for point in (y, mixed):
+            assert_same_fractions(a.linear.apply(point), chained_scaled_apply(a.linear, point))
+        for bad in ((*y[:-1], 0.5), ["1/0", *y[1:]], y[:-1], (*y, F(1))):
+            assert raised(a.apply, bad) == raised(chained_affine_apply, a, bad) is not None
+            assert raised(a.linear.apply, bad) == raised(chained_scaled_apply, a.linear, bad)
+        for bad in ((*y[:-1], 0.5), ["1/0", *y[1:]]):
+            assert raised(metric_power, bad) == raised(lambda v: [as_fraction(x) for x in v], bad)
+    if n >= 2:
+        assert_same_fractions((metric_power(y),), (math.prod(y, start=F(1)),))
+
+
+def test_compose_of_different_sizes_raises_before_any_entry_is_read():
+    small, large = AffineSymmetry.identity(2), AffineSymmetry.identity(3)
+    for a, b in ((small, large), (large, small)):
+        message = f"^cannot compose sizes {a.n} and {b.n}$"
+        with pytest.raises(DimensionMismatch, match=message):
+            a.compose(b)
+        with pytest.raises(DimensionMismatch, match=message):
+            a.linear.compose(b.linear)

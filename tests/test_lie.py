@@ -119,8 +119,12 @@ def test_trace_check_cannot_overflow_midway():
     # the float sum 1e308 + 1e308 is already inf, but the trace is exactly 0
     for entries in ((1e308, 1e308, -1e308, -1e308), (-1e308, -1e308, 1e308, 1e308)):
         assert TracelessDiagonal(entries).diag == entries
-    with pytest.raises(TraceNotZero):
+    # the exact trace is reported as its float, or as beyond the float range
+    with pytest.raises(TraceNotZero, match=r"^trace is 1e\+308, expected 0$"):
         TracelessDiagonal((1e308, 1e308, -1e308))
+    for entries in ((1e308, 1e308, 1e308), (-1e308, -1e308, -1e308), (F(10**400), 1.0)):
+        with pytest.raises(TraceNotZero, match="^trace is beyond the float range, expected 0$"):
+            TracelessDiagonal(entries)
 
 
 def test_float_trace_is_the_correctly_rounded_sum():
@@ -338,6 +342,13 @@ def test_lie_log_examples():
 def test_lie_log_off_positive_component():
     with pytest.raises(NotIdentityComponent):
         lie_log(DiagonalGroupElement((-1.0, -1.0, 1.0)))
+
+
+def test_exp_overflow_names_the_entry():
+    for head, i in (((800.0,), 1), ((1.0, 800.0), 2), ((710.0, 1.0, -1.0), 1)):
+        x = TracelessDiagonal((*head, -sum(head)))
+        with pytest.raises(UnitProductViolation, match=f"^entry {i} is above the float range$"):
+            lie_exp(x)
 
 
 def test_exp_and_log_at_the_tolerance_edge_are_closed():

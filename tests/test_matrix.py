@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bmsym import NotSquare, RationalMatrix, as_fraction, as_vector
-from bmsym.matrix import _add, _inv, _mul, _neg, _prod, _scaled_gather, vec_add
+from bmsym.matrix import _add, _affine_gather, _inv, _inverse_gather, _mul, _neg, _prod
+from bmsym.matrix import _scaled_gather
 from oracles import cofactor_det, diagonal, is_diagonal
 
 
@@ -121,30 +122,40 @@ def assert_same_fraction(got, want):
 
 @st.composite
 def vector_pairs(draw):
-    """Two vectors of fraction pairs, about a quarter of the second's entries
-    zero, and a random permutation image of 1..n."""
+    """Two vectors of fraction pairs and a shift, about a quarter of the
+    second's and the shift's entries zero, and a random permutation image
+    of 1..n."""
     pairs = draw(st.lists(fraction_pairs(), min_size=1, max_size=8))
     u = tuple(a for a, _ in pairs)
     v = tuple(Fraction(0) if draw(st.integers(0, 3)) == 0 else b for _, b in pairs)
+    shift = tuple(Fraction(0) if draw(st.integers(0, 3)) == 0 else draw(fractions) for _ in u)
     image = tuple(draw(st.permutations(range(1, len(u) + 1))))
-    return u, v, image
+    return u, v, shift, image
 
 
 @given(vector_pairs())
 def test_mul_and_add_kernels_match_the_operators(vectors):
-    u, v, image = vectors
+    u, v, shift, image = vectors
     for a, b in zip(u, v):
         assert_same_fraction(_mul(a, b), a * b)
         assert_same_fraction(_add(a, b), a + b)
-    # the whole-vector kernels, entry by entry
+    # the fused whole-vector kernels, entry by entry
     gathered = _scaled_gather(u, image, v)
     assert len(gathered) == len(u)
     for got, a, s in zip(gathered, u, image):
         assert_same_fraction(got, a * v[s - 1])
-    added = vec_add(u, v)
-    assert len(added) == len(u)
-    for got, a, b in zip(added, u, v):
-        assert_same_fraction(got, a + b)
+    shifted = _affine_gather(u, image, v, shift)
+    assert len(shifted) == len(u)
+    for got, a, s, t in zip(shifted, u, image, shift):
+        assert_same_fraction(got, a * v[s - 1] + t)
+    scale = tuple(a or Fraction(1) for a in u)  # an inverse needs nonzero scales
+    inverses, quotients = _inverse_gather(scale, image, shift)
+    alone, none = _inverse_gather(scale, image)
+    assert len(inverses) == len(quotients) == len(alone) == len(u) and none == ()
+    for got, quotient, got_alone, j in zip(inverses, quotients, alone, image):
+        assert_same_fraction(got, 1 / scale[j - 1])
+        assert_same_fraction(got_alone, 1 / scale[j - 1])
+        assert_same_fraction(quotient, -shift[j - 1] / scale[j - 1])
 
 
 @given(fractions)
