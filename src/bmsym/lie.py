@@ -26,7 +26,7 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import _add, _inv, _mul, _neg, _prod, _unchecked, as_fraction
+from .matrix import _dot, _inv, _prod, _unchecked, as_fraction
 
 if TYPE_CHECKING:
     from .group import ScaledPerm
@@ -252,12 +252,12 @@ def basis(n: int, i: int) -> TracelessDiagonal:
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
     """Commutator XY - YX of the diagonal matrices: the chart entry i is
-    x_i y_i - y_i x_i, formed exactly on the integer ratios, so it is 0.0 at
+    x_i y_i - y_i x_i, formed exactly as one sum of products, so it is 0.0 at
     every magnitude (diagonal matrices commute); ``_traceless`` completes it."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes differ: {x.n} vs {y.n}")
     pairs = zip(_exact(x.diag[:-1]), _exact(y.diag[:-1]))
-    return _traceless(tuple(float(_add(_mul(a, b), _neg(_mul(b, a)))) for a, b in pairs))
+    return _traceless(tuple(float(_dot((a, b), (b, -a))) for a, b in pairs))
 
 
 def structure_constants(n: int) -> memoryview:

@@ -6,10 +6,13 @@ group law and ``to_dense``) build their results with ``_unchecked``,
 because validity follows by algebra.  Every stored entry is exactly a
 ``Fraction`` either way.
 
-Kernels: ``_mul``, ``_inv``, ``_add``, ``_neg`` and ``_prod`` do the
-scalar arithmetic of ``@``, ``classify``, ``sampling`` and ``lie``.  The
-group law and action of ``group`` run on fused kernels, one loop each:
-``_scaled_gather`` (``s * y``), ``_affine_gather`` (``s * y + t``, formed as
+Kernels: ``_inv`` (reciprocal), ``_prod`` (sequence product) and ``_dot``
+(sum of products) do the scalar arithmetic of ``classify``, ``sampling`` and
+``lie``.  ``apply`` is one ``_dot`` per row and ``@`` forms each entry with
+``_dot``'s step: one integer numerator over the lcm of the term
+denominators, one gcd per term, reduced once.  The group law and action of
+``group`` run on three fused gathers, one loop each: ``_scaled_gather``
+(``s * y``), ``_affine_gather`` (``s * y + t``, formed as
 ``(ns*ny*dt + ds*dy*nt) / (ds*dy*dt)``) and ``_inverse_gather`` (``1 / s``
 and ``-t / s``), each entry reduced by one gcd.  All read the integer ratios
 of validated ``Fraction``s from the ``_numerator`` and ``_denominator`` slots
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
@@ -64,21 +66,6 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
     return obj
 
 
-def _mul(a: Fraction, b: Fraction) -> Fraction:
-    """``a * b``: cancel across (a's numerator with b's denominator and the
-    converse), so the products are already in lowest terms."""
-    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
-    g = math.gcd(na, db)
-    if g > 1:
-        na //= g
-        db //= g
-    g = math.gcd(nb, da)
-    if g > 1:
-        nb //= g
-        da //= g
-    return _fraction(na * nb, da * db)
-
-
 def _inv(a: Fraction) -> Fraction:
     """``1 / a``; raises ZeroDivisionError when a is 0."""
     n, d = a._numerator, a._denominator
@@ -89,24 +76,20 @@ def _inv(a: Fraction) -> Fraction:
     raise ZeroDivisionError("Fraction(1, 0)")
 
 
-def _add(a: Fraction, b: Fraction) -> Fraction:
-    """``a + b``, reducing by the gcd of the denominators first (the method
-    of ``Fraction._add``)."""
-    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
-    g = math.gcd(da, db)
-    if g == 1:
-        return _fraction(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = math.gcd(t, g)
-    if g2 == 1:
-        return _fraction(t, s * db)
-    return _fraction(t // g2, s * (db // g2))
-
-
-def _neg(a: Fraction) -> Fraction:
-    """``-a``."""
-    return _fraction(-a._numerator, a._denominator)
+def _dot(u: Vec, v: Vec) -> Fraction:
+    """``sum(a * b for a, b in zip(u, v))``, skipping zero terms; ``ZERO`` when
+    the sum is 0."""
+    gcd, num, den = math.gcd, 0, 1
+    for a, b in zip(u, v):
+        n = a._numerator * b._numerator
+        if n:  # add n / d over lcm(den, d)
+            d = a._denominator * b._denominator
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den // g * d
+    if not num:
+        return ZERO
+    g = gcd(num, den)
+    return _fraction(num // g, den // g)
 
 
 def _prod(values: Iterable[Fraction]) -> Fraction:
@@ -207,29 +190,31 @@ class RationalMatrix:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"matrix sizes differ: {self.n} vs {other.n}")
-        n = self.n
-        out = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            row = self.rows[i]
-            acc = out[i]
-            for k in range(n):
-                a = row[k]
-                if not a:
+        n, gcd, out = self.n, math.gcd, []
+        for row in self.rows:
+            nums, dens, acc = [0] * n, [1] * n, [ZERO] * n  # entry j is nums[j] / dens[j]
+            for a, other_row in zip(row, other.rows):
+                na, da = a._numerator, a._denominator
+                if not na:
                     continue
-                other_row = other.rows[k]
-                for j in range(n):
-                    b = other_row[j]
-                    if b:
-                        acc[j] = _add(acc[j], _mul(a, b))
-        return _unchecked(RationalMatrix, n=n, rows=tuple(map(tuple, out)))
+                for j, b in enumerate(other_row):  # _dot's step
+                    nb = b._numerator
+                    if nb:
+                        t, d, den = na * nb, da * b._denominator, dens[j]
+                        g = gcd(den, d)
+                        nums[j], dens[j] = nums[j] * (d // g) + t * (den // g), den // g * d
+            for j, t in enumerate(nums):
+                if t:
+                    g = gcd(t, dens[j])
+                    acc[j] = _fraction(t // g, dens[j] // g)
+            out.append(tuple(acc))
+        return _unchecked(RationalMatrix, n=n, rows=tuple(out))
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         vec = as_vector(vector)
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector length {len(vec)} for a {self.n}x{self.n} matrix")
-        return tuple(
-            reduce(_add, (_mul(a, x) for a, x in zip(row, vec) if a), ZERO) for row in self.rows
-        )
+        return tuple(_dot(row, vec) for row in self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.rows == other.rows

@@ -2,9 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import strategies as st
+from hypothesis import Phase, strategies as st
 
 from bmsym import Permutation, ScaledPerm, AffineSymmetry
+
+# every phase but shrinking, for properties whose failing examples are slow to
+# shrink (each step re-runs a whole chain at n = 64 with 128-bit entries)
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 SMALL = [k for k in range(-9, 10) if k != 0]
 POSITIVE = list(range(1, 10))

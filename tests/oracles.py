@@ -9,8 +9,9 @@ dense matrix products, the unit-product tolerance test against the
 ``Fraction`` operators, the Lie group and algebra operations and exp/log,
 which complete the chart of their result, against the entrywise formulas
 (each result re-checked by its validating constructor), and the
-classifier's one row pass against the two-pass decision it replaced, and
-the fused group law and action against the chained kernels they replaced.  The
+classifier's one row pass against the two-pass decision it replaced,
+the fused group law and action against the chained kernels they replaced,
+and ``@`` and ``apply`` against the sums of ``Fraction`` products.  The
 determinant and the diagonal read-off of a RationalMatrix live here too,
 since only the tests use them.
 """
@@ -37,7 +38,7 @@ from bmsym import (
     Violation,
     extract_pattern,
 )
-from bmsym.matrix import _inv, _neg, _unchecked, as_fraction
+from bmsym.matrix import _inv, _unchecked, as_fraction
 
 
 def _product(m, columns):
@@ -251,7 +252,7 @@ def vec_add(u, v):
 
 
 def vec_neg(u):
-    return tuple(map(_neg, u))
+    return tuple(-a for a in u)
 
 
 def _act(p, vec):
@@ -330,6 +331,20 @@ def entrywise_log(a):
     if any(v <= 0 for v in a.diag):
         raise NotIdentityComponent("logarithm needs all diagonal entries positive")
     return TracelessDiagonal(tuple(math.log(float(v)) for v in a.diag))
+
+
+def operator_matmul(a, b):
+    """The rows of ``a @ b`` as sums of ``Fraction`` products; a zero term,
+    which changes no sum, is skipped."""
+    columns = tuple(zip(*b.rows))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in columns)
+        for row in a.rows
+    )
+
+
+def operator_apply(m, vec):
+    return tuple(sum(a * x for a, x in zip(row, vec)) for row in m.rows)
 
 
 def cofactor_det(m):

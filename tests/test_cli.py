@@ -242,6 +242,12 @@ def test_metric_beyond_float_range_is_exit_2():
     _assert_one_line_input_error(run_cli("metric", "--y", json.dumps(["1" + "0" * 399, "1"])))
 
 
+def test_metric_names_the_coordinate_above_the_float_range():
+    result = run_cli("metric", "--y", json.dumps(["1" + "0" * 400, "1"]))
+    _assert_one_line_input_error(result)
+    assert result.stderr == "error: coordinate 1 is above the float range\n"
+
+
 def test_metric_below_float_range_is_exit_2():
     result = run_cli("metric", "--y", json.dumps(["1/1" + "0" * 340, "1"]))
     _assert_one_line_input_error(result)

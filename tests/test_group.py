@@ -18,6 +18,7 @@ from bmsym import (
     metric_power,
 )
 from helpers import (
+    NO_SHRINK,
     affine_symmetries,
     nonzero_rationals,
     rationals,
@@ -231,6 +232,12 @@ def test_metric_signed_root_odd_n():
     assert metric((-8.0, 1, 1)) == -2.0
 
 
+def test_metric_names_a_coordinate_above_the_float_range():
+    for y, i in (((F(10**400), F(1)), 1), ((F(1), F(-(10**400), 3), F(2)), 2)):
+        with pytest.raises(OverflowError, match=f"^coordinate {i} is above the float range$"):
+            metric(y)
+
+
 def test_metric_beyond_the_float_range_of_the_product():
     # the float products are 0.0 and inf, but the roots lie in range
     assert metric((F(1, 10**200),) * 2) == 1e-200
@@ -381,7 +388,7 @@ def raised(call, *args):
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 64])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_fused_group_law_matches_the_chained_kernels(n, data):
     draw = data.draw

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bmsym import NotSquare, RationalMatrix, as_fraction, as_vector
-from bmsym.matrix import _add, _affine_gather, _inv, _inverse_gather, _mul, _neg, _prod
+from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod
 from bmsym.matrix import _scaled_gather
-from oracles import cofactor_det, diagonal, is_diagonal
+from helpers import NO_SHRINK, nonzero_rationals, scaled_perms, wide_nonzero_rationals
+from oracles import cofactor_det, diagonal, is_diagonal, operator_apply, operator_matmul
 
 
 def test_as_fraction_exact_inputs():
@@ -136,9 +138,11 @@ def vector_pairs(draw):
 @given(vector_pairs())
 def test_mul_and_add_kernels_match_the_operators(vectors):
     u, v, shift, image = vectors
+    one = Fraction(1)
+    assert_same_fraction(_dot(u, v), sum(a * b for a, b in zip(u, v)))
     for a, b in zip(u, v):
-        assert_same_fraction(_mul(a, b), a * b)
-        assert_same_fraction(_add(a, b), a + b)
+        assert_same_fraction(_dot((a,), (b,)), a * b)
+        assert_same_fraction(_dot((a, one), (one, b)), a + b)
     # the fused whole-vector kernels, entry by entry
     gathered = _scaled_gather(u, image, v)
     assert len(gathered) == len(u)
@@ -160,7 +164,7 @@ def test_mul_and_add_kernels_match_the_operators(vectors):
 
 @given(fractions)
 def test_neg_and_inv_kernels_match_the_operators(a):
-    assert_same_fraction(_neg(a), -a)
+    assert_same_fraction(_dot((a,), (Fraction(-1),)), -a)
     if a:
         assert_same_fraction(_inv(a), 1 / a)
 
@@ -176,3 +180,60 @@ def test_prod_kernel_matches_the_operator(values):
 def test_inv_kernel_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         _inv(Fraction(0))
+
+
+def test_dot_of_no_terms_or_of_zero_sums_is_the_shared_zero():
+    half, zero = Fraction(1, 2), Fraction(0)
+    assert _dot((), ()) is ZERO and ZERO == sum(()) and hash(ZERO) == hash(sum(()))
+    for u, v in (((zero, zero), (half, zero)), ((half, -half), (half, half))):
+        assert _dot(u, v) is ZERO
+        assert_same_fraction(_dot(u, v), sum(a * b for a, b in zip(u, v)))
+
+
+# apply and @ against the sums of Fraction products; failing examples are not
+# shrunk, since each shrink step re-runs the products
+
+
+def assert_same_rows(got, want):
+    assert type(got) is tuple and len(got) == len(want)
+    for row, want_row in zip(got, want):
+        assert type(row) is tuple and len(row) == len(want_row)
+        for a, b in zip(row, want_row):
+            assert_same_fraction(a, b)
+            assert a or a is ZERO  # a zero entry is the shared ZERO
+
+
+# about a quarter of the entries zero
+sparse_fractions = st.one_of(fractions, fractions, fractions, st.just(Fraction(0)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_matmul_and_apply_match_the_operators(n, data):
+    rows = st.lists(sparse_fractions, min_size=n, max_size=n)
+    a, b = (RationalMatrix([data.draw(rows) for _ in range(n)]) for _ in "ab")
+    vec = tuple(data.draw(rows))
+    assert_same_rows((a @ b).rows, operator_matmul(a, b))
+    assert_same_rows((a.apply(vec),), (operator_apply(a, vec),))
+
+
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_monomial_products_at_n64_match_the_operators(data):
+    small, wide = (data.draw(scaled_perms(n=64, scales=scales)).to_dense()
+                   for scales in (nonzero_rationals, wide_nonzero_rationals))
+    # a dense matrix of 128-bit entries, about a quarter of them zero, from a drawn seed
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.randrange(4) == 0:
+            return Fraction(0)
+        return Fraction(rng.randint(-(2**128), 2**128), rng.randint(1, 2**128))
+
+    dense = RationalMatrix([[entry() for _ in range(64)] for _ in range(64)])
+    for a, b in ((small, wide), (wide, dense), (dense, small)):
+        assert_same_rows((a @ b).rows, operator_matmul(a, b))
+    vec = tuple(entry() for _ in range(64))
+    for a in (wide, dense):
+        assert_same_rows((a.apply(vec),), (operator_apply(a, vec),))
