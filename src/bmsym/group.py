@@ -181,13 +181,14 @@ def metric(y: Sequence) -> float:
     the normal float range at any step, the float product gives only the
     sign, and the root comes from the coordinates' mantissas and exponents.
     """
-    values = []
+    values, exact_zero = [], False
     for i, v in enumerate(y, 1):
         try:
             values.append(float(v))
         except OverflowError:
             raise OverflowError(f"coordinate {i} is above the float range") from None
-    if 0.0 in values and 0 not in y:
+        exact_zero = exact_zero or v == 0
+    if 0.0 in values and not exact_zero:
         raise OverflowError("a nonzero coordinate is below the float range")
     n = len(values)
     if n < 2:

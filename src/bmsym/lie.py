@@ -9,6 +9,8 @@ the zero trace hold within TOLERANCE when some entry is a float, exactly
 otherwise.  Every operation computes its result's chart and one rule per
 type completes it, unchecked (``dn1_new`` for the group, ``_traceless`` for
 the algebra); a float result is thus projected onto the group or algebra.
+The algebra is abelian (diagonal matrices commute), so the bracket and the
+structure constants are zero by the theorem; the tests hold the expansion.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import _dot, _inv, _prod, _unchecked, as_fraction
+from .matrix import _inv, _prod, _unchecked, as_fraction
 
 if TYPE_CHECKING:
     from .group import ScaledPerm
@@ -37,11 +39,6 @@ TOLERANCE = 1e-12
 def _as_number(value):
     """Floats pass through; ints and Fractions stay exact."""
     return value if isinstance(value, float) else as_fraction(value)
-
-
-def _exact(values) -> list:
-    """``values`` as exact Fractions: floats converted, exact entries as they are."""
-    return [Fraction(v) if isinstance(v, float) else v for v in values]
 
 
 def _ratio_product(values) -> tuple[int, int]:
@@ -251,32 +248,26 @@ def basis(n: int, i: int) -> TracelessDiagonal:
 
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
-    """Commutator XY - YX of the diagonal matrices: the chart entry i is
-    x_i y_i - y_i x_i, formed exactly as one sum of products, so it is 0.0 at
-    every magnitude (diagonal matrices commute); ``_traceless`` completes it."""
+    """Commutator XY - YX of the diagonal matrices: zero by the theorem, since
+    diagonal matrices commute.  Every entry is finite, so the exact expansion
+    x_i y_i - y_i x_i is 0.0 too; the tests check the result against it."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes differ: {x.n} vs {y.n}")
-    pairs = zip(_exact(x.diag[:-1]), _exact(y.diag[:-1]))
-    return _traceless(tuple(float(_dot((a, b), (b, -a))) for a, b in pairs))
+    return _unchecked(TracelessDiagonal, diag=(0.0,) * x.n)
 
 
 def structure_constants(n: int) -> memoryview:
-    """Tensor c[i, j, k] with [E_i, E_j] = sum_k c[i, j, k] E_k.
-
-    Computed by expanding the bracket of each basis pair in the basis
-    (coefficients read off positions 1..n-1), not assumed; the algebra is
-    abelian, so the result is the zero tensor.  It is returned as a
-    ``memoryview`` of format ``"d"`` and shape (n-1, n-1, n-1) over a stdlib
-    ``array``: it has ``.shape``, ``.tolist()`` and ``c[i, j, k]``, and array
-    libraries wrap it through the buffer protocol without a copy.
+    """Tensor c[i, j, k] with [E_i, E_j] = sum_k c[i, j, k] E_k: zero by the
+    theorem, as the algebra is abelian (the tests expand each basis pair's
+    bracket).  It is a ``memoryview`` of format ``"d"`` and shape
+    (n-1, n-1, n-1) over a stdlib ``array``: it has ``.shape``, ``.tolist()``
+    and ``c[i, j, k]``, and array libraries wrap it without a copy.
     """
     if n < 2:
         raise DimensionMismatch("need n >= 2")
     from array import array  # imported here so that only this function loads it
 
-    vectors = [basis(n, i) for i in range(1, n)]
-    brackets = (bracket(e_i, e_j) for e_i in vectors for e_j in vectors)
-    flat = array("d", (v for b in brackets for v in b.diag[:-1]))
+    flat = array("d", bytes(8 * (n - 1) ** 3))
     return memoryview(flat).cast("B").cast("d", (n - 1,) * 3)
 
 

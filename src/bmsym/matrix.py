@@ -6,9 +6,9 @@ group law and ``to_dense``) build their results with ``_unchecked``,
 because validity follows by algebra.  Every stored entry is exactly a
 ``Fraction`` either way.
 
-Kernels: ``_inv`` (reciprocal), ``_prod`` (sequence product) and ``_dot``
-(sum of products) do the scalar arithmetic of ``classify``, ``sampling`` and
-``lie``.  ``apply`` is one ``_dot`` per row and ``@`` forms each entry with
+Kernels: ``_inv`` (reciprocal) and ``_prod`` (sequence product) do the
+scalar arithmetic of ``classify``, ``sampling`` and ``lie``.  ``apply`` is
+one ``_dot`` (sum of products) per row and ``@`` forms each entry with
 ``_dot``'s step: one integer numerator over the lcm of the term
 denominators, one gcd per term, reduced once.  The group law and action of
 ``group`` run on three fused gathers, one loop each: ``_scaled_gather``

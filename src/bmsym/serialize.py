@@ -14,8 +14,8 @@ rational array, ``sigma_from_obj`` reads ``--sigma`` (a bare array or an
 object), and the constructors add the algebraic conditions (a bijection, a
 unit product, a zero trace).  A parsed matrix holds exactly the
 ``Fraction``s its reader built, so it is built with ``_unchecked``.
-The classifier and Lie record types are imported inside the functions that
-use them, so the group subcommands load neither layer.
+The group, classifier and Lie record types are imported inside the
+functions that use them, so each subcommand loads only its own layer.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import MalformedInput
-from .group import AffineSymmetry, ScaledPerm
 from .matrix import RationalMatrix, _unchecked
-from .permutation import Permutation
 
 if TYPE_CHECKING:
     from .classify import OracleReport
+    from .group import AffineSymmetry, ScaledPerm
     from .lie import DiagonalGroupElement, TracelessDiagonal
+    from .permutation import Permutation
 
 _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -113,6 +113,8 @@ def _require_n(obj: dict, default=None) -> int:
 
 
 def permutation_from_obj(obj, n: int) -> Permutation:
+    from .permutation import Permutation
+
     image = tuple(_require_list(obj, '"sigma"', n))
     try:
         return Permutation(image)
@@ -128,6 +130,8 @@ def sigma_from_obj(obj, n: int) -> Permutation:
 
 
 def element_to_obj(element: AffineSymmetry | ScaledPerm) -> dict:
+    from .group import AffineSymmetry, ScaledPerm
+
     if isinstance(element, ScaledPerm):
         element = AffineSymmetry.linear_only(element)
     linear = element.linear
@@ -140,6 +144,8 @@ def element_to_obj(element: AffineSymmetry | ScaledPerm) -> dict:
 
 
 def element_from_obj(obj) -> AffineSymmetry:
+    from .group import AffineSymmetry, ScaledPerm
+
     obj = _require_dict(obj, "element")
     n = _require_n(obj)
     sigma = permutation_from_obj(obj.get("sigma"), n)

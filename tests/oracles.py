@@ -1,17 +1,18 @@
 """Reference implementations that the fast code is checked against.
 
-The enumerations follow the definition directly and cost n! or n^n, so
-they only run on small matrices in the tests; Ryser's formula, at 2^n n
-steps, checks the permanent at a few larger n; membership is checked against
-the dense product it reads off, the samplers against the same draws built
-through the validating constructors, the Lie bracket against numpy's
-dense matrix products, the unit-product tolerance test against the
-``Fraction`` operators, the Lie group and algebra operations and exp/log,
-which complete the chart of their result, against the entrywise formulas
-(each result re-checked by its validating constructor), and the
-classifier's one row pass against the two-pass decision it replaced,
-the fused group law and action against the chained kernels they replaced,
-and ``@`` and ``apply`` against the sums of ``Fraction`` products.  The
+The enumerations follow the definition directly and cost n! or n^n, so they
+only run on small matrices in the tests; Ryser's formula, at 2^n n steps,
+checks the permanent at a few larger n; membership is checked against the
+dense product it reads off, the samplers against the same draws built
+through the validating constructors, the Lie bracket and structure
+constants, zero by the theorem, against numpy's dense matrix products and
+the exact expansion of the commutator, the unit-product tolerance test
+against the ``Fraction`` operators, the Lie group and algebra operations and
+exp/log, which complete the chart of their result, against the entrywise
+formulas (each result re-checked by its validating constructor), and the
+classifier's one row pass against the two-pass decision it replaced, the
+fused group law and action against the chained kernels they replaced, and
+``@`` and ``apply`` against the sums of ``Fraction`` products.  The
 determinant and the diagonal read-off of a RationalMatrix live here too,
 since only the tests use them.
 """
@@ -36,6 +37,7 @@ from bmsym import (
     Symmetry,
     TracelessDiagonal,
     Violation,
+    basis,
     extract_pattern,
 )
 from bmsym.matrix import _inv, _unchecked, as_fraction
@@ -192,6 +194,20 @@ def numpy_bracket(x, y):
     commutator = dense_x @ dense_y - dense_y @ dense_x
     assert not np.any(commutator - np.diag(np.diag(commutator)))
     return tuple(float(v) for v in np.diag(commutator))
+
+
+def expanded_bracket(x, y):
+    """The commutator's chart entries x_i y_i - y_i x_i as exact products,
+    rounded to floats and completed by minus their trace."""
+    head = [float(Fraction(a) * Fraction(b) - Fraction(b) * Fraction(a))
+            for a, b in zip(x.diag[:-1], y.diag[:-1])]
+    return TracelessDiagonal((*head, 0.0 - math.fsum(head)))
+
+
+def expanded_structure_constants(n):
+    """c[i][j][k]: the bracket of basis pair (i, j), read off positions 1..n-1."""
+    vectors = [basis(n, i) for i in range(1, n)]
+    return [[list(expanded_bracket(e_i, e_j).diag[:-1]) for e_j in vectors] for e_i in vectors]
 
 
 def near_unit_product(values, tolerance):

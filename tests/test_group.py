@@ -285,6 +285,18 @@ def test_metric_coordinate_below_float_range_overflows():
     assert metric((0, F(1, 10**400))) == 0.0  # an exact zero still gives 0.0
 
 
+def test_metric_reads_an_iterator_as_it_reads_a_list():
+    def outcome(y):
+        try:
+            return repr(metric(y))
+        except OverflowError as exc:
+            return str(exc)
+
+    for y in ([0, 1], [F(1, 10**400), 0], [2, 8], [F(1, 10**400), F(10**200), F(10**200)]):
+        assert outcome(iter(y)) == outcome(y), y
+    assert outcome(iter([F(1, 10**400), 1])) == "a nonzero coordinate is below the float range"
+
+
 # properties
 
 

@@ -15,6 +15,8 @@ from oracles import (
     entrywise_mu,
     entrywise_multiply,
     entrywise_scaled,
+    expanded_bracket,
+    expanded_structure_constants,
     near_unit_product,
     numpy_bracket,
 )
@@ -445,6 +447,7 @@ def test_structure_lists_are_float_zeros():
     for n in range(2, 11):
         zeros = [[[0.0] * (n - 1) for _ in range(n - 1)] for _ in range(n - 1)]
         assert repr(structure_constants(n).tolist()) == repr(zeros)
+        assert repr(expanded_structure_constants(n)) == repr(zeros)
 
 
 def test_structure_constants_zero():
@@ -456,20 +459,31 @@ def test_structure_constants_zero():
 
 floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 fractions = st.fractions(min_value=-10, max_value=10, max_denominator=100)
+# the float products of these overflow or underflow; their pairs v, -v
+# keep the trace exactly 0
+edges = st.sampled_from([1e308, -1e308, 1e200, 5e-324, -5e-324, 0.0])
 
 
 @st.composite
 def traceless_diagonals(draw, n, entries):
+    if entries is edges:
+        values = [draw(edges) for _ in range(n // 2)]
+        diag = [*values, *(-v for v in values), *[0.0] * (n % 2)]
+        return TracelessDiagonal(tuple(draw(st.permutations(diag))))
     head = [draw(entries) for _ in range(n - 1)]
     return TracelessDiagonal((*head, -sum(head)))
 
 
-@given(st.data(), st.integers(min_value=2, max_value=8), st.sampled_from([floats, fractions]))
+@given(st.data(), st.integers(min_value=2, max_value=8),
+       st.sampled_from([floats, fractions, edges]))
 def test_bracket_matches_numpy_dense_commutator(data, n, entries):
     x = data.draw(traceless_diagonals(n, entries))
     y = data.draw(traceless_diagonals(n, entries))
     # repr tells 0.0 from -0.0, which the CLI's JSON prints differently
-    assert list(map(repr, bracket(x, y).diag)) == list(map(repr, numpy_bracket(x, y)))
+    result = list(map(repr, bracket(x, y).diag))
+    assert result == list(map(repr, expanded_bracket(x, y).diag))
+    if entries is not edges:  # numpy's products overflow there
+        assert result == list(map(repr, numpy_bracket(x, y)))
     tensor = structure_constants(n)
     assert tensor.shape == (n - 1,) * 3
     assert tensor.format == "d"
