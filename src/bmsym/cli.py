@@ -5,6 +5,8 @@ non-membership, failed oracle), 2 usage or input error, 3 dimension cap
 exceeded.  Every flag that names an input accepts either a file path or
 inline JSON (recognized by a leading "{" or "[").  The single JSON result
 document goes to stdout (or --output); diagnostics go to stderr.  Each
+subcommand is one row of ``_SUBCOMMANDS`` (name, help, handler, flags),
+and ``build_parser`` adds --output and the row's flags to each.  Each
 handler imports the layers it runs, so a call loads only those.
 """
 
@@ -112,12 +114,8 @@ def _cmd_lie_basis(args) -> tuple[object, int]:
     from .lie import basis
 
     _require_lie_n(args.n)
-    vectors = [basis(args.n, i) for i in range(1, args.n)]
-    return {
-        "n": args.n,
-        "dim": args.n - 1,
-        "basis": [[float(v) for v in vector.diag] for vector in vectors],
-    }, 0
+    vectors = [tdiag_to_obj(basis(args.n, i))["tdiag"] for i in range(1, args.n)]
+    return {"n": args.n, "dim": args.n - 1, "basis": vectors}, 0
 
 
 def _cmd_lie_structure(args) -> tuple[object, int]:
@@ -134,79 +132,56 @@ def _cmd_components(args) -> tuple[object, int]:
     return {"n": element.n, "signs": list(component_signature(element))}, 0
 
 
+def _json(flag: str, what: str) -> tuple[str, dict]:
+    """A required flag naming a JSON input: a file path or inline JSON."""
+    return flag, {"required": True, "help": f"{what}, path or inline JSON"}
+
+
+_ELEMENT = _json("--input", "element")
+_VECTOR = _json("--y", "rational vector")
+_MATRIX = _json("--matrix", "square rational matrix")
+_DIAG = _json("--input", "diagonal group element")
+_N = ("--n", {"type": int, "required": True, "help": "dimension"})
+_MAX_N = ("--max-n", {"type": int, "default": DEFAULT_MAX_N,
+                      "help": "dimension cap (default %(default)s)"})
+
+# One row per subcommand: name, help, handler and its flags after --output.
+_SUBCOMMANDS = (
+    ("compose", "compose two elements, left after right", _cmd_compose,
+     (_json("--a", "left element"), _json("--b", "right element"))),
+    ("inverse", "invert an element", _cmd_inverse, (_ELEMENT,)),
+    ("apply", "apply an element to a point", _cmd_apply, (_ELEMENT, _VECTOR)),
+    ("metric", "evaluate the metric at a point", _cmd_metric, (_VECTOR,)),
+    ("classify", "decide whether a matrix is a symmetry", _cmd_classify,
+     (_MATRIX, ("--y", {"help": "optional translation vector for the affine map"}), _MAX_N)),
+    ("membership", "test x @ E_sigma diagonal with unit determinant", _cmd_membership,
+     (_MATRIX, ("--sigma", {"required": True,
+                            "help": "permutation, one-line array or object with a sigma key"}))),
+    ("oracle", "randomized soundness/completeness run of the classifier", _cmd_oracle,
+     (_N, ("--trials", {"type": int, "default": 100, "help": "trial count (default %(default)s)"}),
+      ("--seed", {"type": int, "default": 0, "help": "seed (default %(default)s)"}), _MAX_N)),
+    ("lie-exp", "componentwise exponential", _cmd_lie_exp,
+     (_json("--input", "traceless diagonal"),)),
+    ("lie-log", "componentwise logarithm on the positive component", _cmd_lie_log, (_DIAG,)),
+    ("lie-basis", "basis of the traceless diagonals", _cmd_lie_basis, (_N,)),
+    ("lie-structure", "structure constants in the standard basis", _cmd_lie_structure, (_N,)),
+    ("components", "sign pattern locating an element's connected component", _cmd_components,
+     (_DIAG,)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bmsym",
         description="Exact scaled-permutation symmetries of the product-form metric.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write the JSON document here instead of stdout")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-
-    p = sub.add_parser("compose", parents=[common], help="compose two elements, left after right")
-    p.add_argument("--a", required=True, help="left element, path or inline JSON")
-    p.add_argument("--b", required=True, help="right element, path or inline JSON")
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("inverse", parents=[common], help="invert an element")
-    p.add_argument("--input", required=True, help="element, path or inline JSON")
-    p.set_defaults(handler=_cmd_inverse)
-
-    p = sub.add_parser("apply", parents=[common], help="apply an element to a point")
-    p.add_argument("--input", required=True, help="element, path or inline JSON")
-    p.add_argument("--y", required=True, help="rational vector, path or inline JSON")
-    p.set_defaults(handler=_cmd_apply)
-
-    p = sub.add_parser("metric", parents=[common], help="evaluate the metric at a point")
-    p.add_argument("--y", required=True, help="rational vector, path or inline JSON")
-    p.set_defaults(handler=_cmd_metric)
-
-    p = sub.add_parser("classify", parents=[common], help="decide whether a matrix is a symmetry")
-    p.add_argument("--matrix", required=True, help="square rational matrix, path or inline JSON")
-    p.add_argument("--y", help="optional translation vector for the affine map")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n",
-                   help="dimension cap (default 8)")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("membership", parents=[common],
-                       help="test x @ E_sigma diagonal with unit determinant")
-    p.add_argument("--matrix", required=True, help="square rational matrix, path or inline JSON")
-    p.add_argument("--sigma", required=True,
-                   help="permutation, one-line array or object with a sigma key")
-    p.set_defaults(handler=_cmd_membership)
-
-    p = sub.add_parser("oracle", parents=[common],
-                       help="randomized soundness/completeness run of the classifier")
-    p.add_argument("--n", type=int, required=True, help="dimension")
-    p.add_argument("--trials", type=int, default=100, help="trial count (default 100)")
-    p.add_argument("--seed", type=int, default=0, help="seed (default 0)")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n",
-                   help="dimension cap (default 8)")
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("lie-exp", parents=[common], help="componentwise exponential")
-    p.add_argument("--input", required=True, help="traceless diagonal, path or inline JSON")
-    p.set_defaults(handler=_cmd_lie_exp)
-
-    p = sub.add_parser("lie-log", parents=[common],
-                       help="componentwise logarithm on the positive component")
-    p.add_argument("--input", required=True, help="diagonal group element, path or inline JSON")
-    p.set_defaults(handler=_cmd_lie_log)
-
-    p = sub.add_parser("lie-basis", parents=[common], help="basis of the traceless diagonals")
-    p.add_argument("--n", type=int, required=True, help="dimension")
-    p.set_defaults(handler=_cmd_lie_basis)
-
-    p = sub.add_parser("lie-structure", parents=[common],
-                       help="structure constants in the standard basis")
-    p.add_argument("--n", type=int, required=True, help="dimension")
-    p.set_defaults(handler=_cmd_lie_structure)
-
-    p = sub.add_parser("components", parents=[common],
-                       help="sign pattern locating an element's connected component")
-    p.add_argument("--input", required=True, help="diagonal group element, path or inline JSON")
-    p.set_defaults(handler=_cmd_components)
-
+    for name, help_text, handler, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--output", help="write the JSON document here instead of stdout")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

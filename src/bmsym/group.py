@@ -33,7 +33,7 @@ from .errors import (
     ZeroScale,
 )
 from .matrix import ONE, ZERO, RationalMatrix, _affine_gather, _inverse_gather, _prod
-from .matrix import _scaled_gather, _unchecked, as_fraction, as_vector
+from .matrix import _scaled_gather, _unchecked, as_vector
 from .permutation import Permutation
 
 
@@ -45,7 +45,7 @@ class ScaledPerm:
     scale: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        scale = tuple(as_fraction(v) for v in self.scale)
+        scale = as_vector(self.scale)
         object.__setattr__(self, "scale", scale)
         if len(scale) != self.sigma.n:
             raise DimensionMismatch(

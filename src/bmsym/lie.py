@@ -284,5 +284,4 @@ def as_scaled_perm(a: DiagonalGroupElement) -> ScaledPerm:
     from .group import ScaledPerm
     from .permutation import Permutation
 
-    scale = tuple(as_fraction(v) for v in a.diag)
-    return ScaledPerm(Permutation.identity(a.n), scale)
+    return ScaledPerm(Permutation.identity(a.n), a.diag)

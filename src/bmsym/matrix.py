@@ -157,7 +157,7 @@ class RationalMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
-        data = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        data = tuple(as_vector(row) for row in rows)
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in data]}")

@@ -35,11 +35,7 @@ if TYPE_CHECKING:
     from .lie import DiagonalGroupElement, TracelessDiagonal
     from .permutation import Permutation
 
-_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
+_RATIONAL = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def parse_rational(text) -> Fraction:
@@ -47,9 +43,10 @@ def parse_rational(text) -> Fraction:
         raise MalformedInput(f"expected a rational string, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL.match(text):
+    m = _RATIONAL.match(text) if isinstance(text, str) else None
+    if m is None:
         raise MalformedInput(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def parse_number(value) -> float:
@@ -167,7 +164,7 @@ def matrix_from_obj(obj) -> RationalMatrix:
 
 
 def vector_to_obj(vector) -> list:
-    return [format_rational(v) for v in vector]
+    return [str(v) for v in vector]
 
 
 def vector_from_obj(obj, what: str = "vector", n: int | None = None) -> tuple[Fraction, ...]:
@@ -215,10 +212,10 @@ def witness_to_obj(witness) -> dict:
         return {
             "kind": "degenerate_tuple",
             "tuple": list(witness.indices),
-            "product": format_rational(witness.product),
+            "product": str(witness.product),
         }
     if isinstance(witness, PermanentMismatch):
-        return {"kind": "permanent", "value": format_rational(witness.value)}
+        return {"kind": "permanent", "value": str(witness.value)}
     raise MalformedInput(f"unknown witness type {type(witness).__name__}")
 
 

@@ -12,13 +12,16 @@ exp/log, which complete the chart of their result, against the entrywise
 formulas (each result re-checked by its validating constructor), and the
 classifier's one row pass against the two-pass decision it replaced, the
 fused group law and action against the chained kernels they replaced, and
-``@`` and ``apply`` against the sums of ``Fraction`` products.  The
+``@`` and ``apply`` against the sums of ``Fraction`` products, and the
+rational literal reader against the regex check followed by ``Fraction``'s
+own string grammar that it replaced.  The
 determinant and the diagonal read-off of a RationalMatrix live here too,
 since only the tests use them.
 """
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from operator import add, sub
 
@@ -29,6 +32,7 @@ from bmsym import (
     DegenerateTuple,
     DiagonalGroupElement,
     DimensionMismatch,
+    MalformedInput,
     NotIdentityComponent,
     NotMonomial,
     PermanentMismatch,
@@ -427,3 +431,18 @@ def constructed_off_pattern(element, rng):
     on_column = element.sigma(row)
     column = rng.choice([j for j in range(1, n + 1) if j != on_column])
     return element.to_dense().with_entry(row, column, drawn_ratio(rng, NONZERO))
+
+
+_RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+def two_grammar_parse_rational(text):
+    """serialize.parse_rational checking the literal with its regex, then
+    building the value by ``Fraction``'s own string grammar."""
+    if isinstance(text, bool):
+        raise MalformedInput(f"expected a rational string, got {text!r}")
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str) or not _RATIONAL.match(text):
+        raise MalformedInput(f"not a rational literal: {text!r}")
+    return Fraction(text)

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import bmsym
-from bmsym.cli import main
+from bmsym.cli import build_parser, main
+from bmsym.errors import DEFAULT_MAX_N
 from bmsym.serialize import canonical_dumps
 
 WORKED_MATRIX = '{"n":3,"rows":[["0","2","0"],["0","0","3"],["1/6","0","0"]]}'
@@ -373,3 +374,54 @@ def test_main_in_process_exit_codes(capsys):
     assert main(["metric", "--y", "bad"]) == 2
     assert main(["oracle", "--n", "2", "--trials", "3"]) == 0
     capsys.readouterr()
+
+
+# The subcommand table, checked through the parser it builds, not through
+# help text, which argparse formats differently across Python versions.
+REQUIRED_FLAGS = {
+    "compose": ("--a", "--b"),
+    "inverse": ("--input",),
+    "apply": ("--input", "--y"),
+    "metric": ("--y",),
+    "classify": ("--matrix",),
+    "membership": ("--matrix", "--sigma"),
+    "oracle": ("--n",),
+    "lie-exp": ("--input",),
+    "lie-log": ("--input",),
+    "lie-basis": ("--n",),
+    "lie-structure": ("--n",),
+    "components": ("--input",),
+}
+DEFAULTS = {
+    "classify": {"y": None, "max_n": DEFAULT_MAX_N},
+    "oracle": {"trials": 100, "seed": 0, "max_n": DEFAULT_MAX_N},
+}
+
+
+def _without(argv, flag):
+    """argv with ``flag`` and the value after it removed."""
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMAND_ARGS)
+def test_each_required_flag_is_named_when_missing(subcommand, capsys):
+    assert set(REQUIRED_FLAGS) == set(SUBCOMMAND_ARGS)
+    for flag in REQUIRED_FLAGS[subcommand]:
+        assert main([subcommand, *_without(SUBCOMMAND_ARGS[subcommand], flag)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: the following arguments are required: {flag}\n"), err
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMAND_ARGS)
+def test_parser_defaults(subcommand):
+    argv = SUBCOMMAND_ARGS[subcommand]
+    required = [word for flag in REQUIRED_FLAGS[subcommand]
+                for word in argv[argv.index(flag):argv.index(flag) + 2]]
+    args = build_parser().parse_args([subcommand, *required])
+    defaults = {"subcommand": subcommand, "output": None, **DEFAULTS.get(subcommand, {})}
+    dests = {flag[2:] for flag in REQUIRED_FLAGS[subcommand]}
+    assert set(vars(args)) == {"handler", *defaults, *dests}
+    assert {key: getattr(args, key) for key in defaults} == defaults
+    assert callable(args.handler)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bmsym import (
     AffineSymmetry,
@@ -25,7 +25,6 @@ from bmsym.serialize import (
     diag_to_obj,
     element_from_obj,
     element_to_obj,
-    format_rational,
     loads,
     matrix_from_obj,
     oracle_report_to_obj,
@@ -38,6 +37,7 @@ from bmsym.serialize import (
     witness_to_obj,
 )
 from bmsym.serialize import _require_dict, _require_list
+from oracles import two_grammar_parse_rational
 
 
 # The inverses of matrix_from_obj and witness_to_obj, which no subcommand
@@ -45,7 +45,7 @@ from bmsym.serialize import _require_dict, _require_list
 
 
 def matrix_to_obj(matrix):
-    return {"n": matrix.n, "rows": [[format_rational(v) for v in row] for row in matrix.rows]}
+    return {"n": matrix.n, "rows": [[str(v) for v in row] for row in matrix.rows]}
 
 
 def witness_from_obj(obj):
@@ -68,23 +68,46 @@ ELEMENT = AffineSymmetry(
 )
 
 
+# The writers format each rational with str: lowest terms, no "/1"
 def test_format_rational():
-    assert format_rational(F(3)) == "3"
-    assert format_rational(F(-1, 2)) == "-1/2"
-    assert format_rational(F(2, 4)) == "1/2"
-    assert format_rational(F(0)) == "0"
+    assert vector_to_obj((F(3), F(-1, 2), F(2, 4), F(0))) == ["3", "-1/2", "1/2", "0"]
 
 
 def test_parse_rational():
     assert parse_rational("3") == F(3)
     assert parse_rational("-1/2") == F(-1, 2)
     assert parse_rational(7) == F(7)
+    assert parse_rational("5\n") == F(5)
+    assert parse_rational("007") == F(7)
+    assert parse_rational("٣") == F(3)
 
 
 def test_parse_rational_rejections():
-    for bad in ("1.5", "1/0", "1/-2", "", "a", "1/", "/2", None, 0.5, True, [1]):
+    for bad in ("1.5", "1/0", "1/-2", "", "a", "1/", "/2", "٣/٤", "1/07", None, 0.5, True, [1]):
         with pytest.raises(MalformedInput):
             parse_rational(bad)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+    return value, type(value), value.numerator, value.denominator
+
+
+# ASCII and non-ASCII digits, signs, separators and whitespace, where the
+# quirks live: "5\n", "007" and "٣" are accepted, "٣/٤" and "1/07" rejected;
+# the second strategy draws mostly well-formed literals, reducible ones too
+@given(st.text(alphabet="0123456789٣٤-+/_. \n", max_size=8)
+       | st.from_regex(r"-?[0-9٣٤]{1,4}(/[0-9٣٤]{1,4})?\n?", fullmatch=True))
+@example("-6/4")
+@example("5\n")
+@example("007")
+@example("٣/٤")
+@example("1/07")
+def test_parse_rational_matches_the_two_grammar_reader(text):
+    assert _outcome(parse_rational, text) == _outcome(two_grammar_parse_rational, text)
 
 
 def test_canonical_dumps_shapes():
