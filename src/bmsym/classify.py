@@ -250,17 +250,15 @@ def witness_violates(
     raise TypeError(f"unknown witness type: {witness!r}")
 
 
-def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng) -> RationalMatrix:
-    """``dense``, element's dense form, with one extra nonzero entry off the pattern."""
-    from .sampling import random_nonzero_rational
-
+def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng, draw) -> RationalMatrix:
+    """``dense``, element's dense form, plus one nonzero entry ``draw(rng)`` off its pattern."""
     n = element.n
     row = rng.randrange(n) + 1
     on_column = element.sigma.image[row - 1]
     column = rng.choice([j for j in range(1, n + 1) if j != on_column])
     rows = list(dense.rows)
     entries = rows[row - 1]
-    rows[row - 1] = entries[: column - 1] + (random_nonzero_rational(rng),) + entries[column:]
+    rows[row - 1] = entries[: column - 1] + (draw(rng),) + entries[column:]
     return _unchecked(RationalMatrix, n=n, rows=tuple(rows))
 
 
@@ -275,7 +273,7 @@ def theorem_oracle(
     re-evaluates as genuine.  Each trial draws its randomness from
     (seed, trial index) only, so the report is schedule-independent.
     """
-    from .sampling import random_scaled_perm, trial_rng
+    from .sampling import random_nonzero_rational, random_scaled_perm, trial_rng
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -289,7 +287,7 @@ def theorem_oracle(
         dense = element.to_dense()
         report = invariance_system_check(dense, max_n=max_n)
         positives_passed += report == Symmetry(element.sigma, element.scale)
-        perturbed = _inject_off_pattern(element, dense, rng)
+        perturbed = _inject_off_pattern(element, dense, rng, random_nonzero_rational)
         perturbed_report = invariance_system_check(perturbed, max_n=max_n)
         if isinstance(perturbed_report, Violation) and witness_violates(
             perturbed, perturbed_report.witness, max_n=max_n

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Sequence
 
 from .errors import (
     DimensionMismatch,

@@ -19,7 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionMismatch,
@@ -28,8 +27,9 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import _inv, _prod, _unchecked, as_fraction
+from .matrix import ONE, ZERO, _inv, _prod, _unchecked, as_fraction
 
+TYPE_CHECKING = False  # true to a type checker; the run time imports no typing
 if TYPE_CHECKING:
     from .group import ScaledPerm
 
@@ -239,12 +239,14 @@ def lie_log(a: DiagonalGroupElement) -> TracelessDiagonal:
 
 
 def basis(n: int, i: int) -> TracelessDiagonal:
-    """The chart's unit vector i (1-based, i <= n-1), completed by -1 at position n."""
+    """e_i - e_n (1-based, i <= n-1): the chart's unit vector i completed by -1."""
     if n < 2:
         raise DimensionMismatch("need n >= 2")
     if not 1 <= i <= n - 1:
         raise IndexError(f"basis index {i} outside 1..{n - 1}")
-    return _traceless(tuple(Fraction(j == i) for j in range(1, n)))
+    diag = [ZERO] * n
+    diag[i - 1], diag[-1] = ONE, -ONE
+    return _unchecked(TracelessDiagonal, diag=tuple(diag))
 
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:

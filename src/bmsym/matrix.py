@@ -24,8 +24,8 @@ once, in lowest terms with a positive denominator: exactly the ``Fraction``
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotSquare
 

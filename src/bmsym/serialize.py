@@ -24,11 +24,11 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import MalformedInput
 from .matrix import RationalMatrix, _unchecked
 
+TYPE_CHECKING = False  # true to a type checker; the run time imports no typing
 if TYPE_CHECKING:
     from .classify import OracleReport
     from .group import AffineSymmetry, ScaledPerm

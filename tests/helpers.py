@@ -1,5 +1,8 @@
-"""Shared generators and hypothesis strategies for the test suite."""
+"""Shared generators, hypothesis strategies and CLI calls for the test suite."""
 
+import json
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import Phase, strategies as st
@@ -61,3 +64,55 @@ def affine_symmetries(draw, n=None, min_n=2, max_n=5, scales=nonzero_rationals,
 @st.composite
 def vectors(draw, n, entries=nonzero_rationals):
     return tuple(draw(entries) for _ in range(n))
+
+
+WORKED_MATRIX = '{"n":3,"rows":[["0","2","0"],["0","0","3"],["1/6","0","0"]]}'
+ELEMENT_P = '{"n":3,"sigma":[2,3,1],"scale":["2","3","1/6"]}'
+ELEMENT_Q = '{"n":3,"sigma":[2,1,3],"scale":["1/2","2","1"]}'
+
+# One successful call of each of the twelve subcommands.
+SUBCOMMAND_ARGS = {
+    "compose": ["--a", ELEMENT_P, "--b", ELEMENT_Q],
+    "inverse": ["--input", ELEMENT_P],
+    "apply": ["--input", ELEMENT_P, "--y", '["1","2","4"]'],
+    "metric": ["--y", "[1,2,4]"],
+    "classify": ["--matrix", WORKED_MATRIX],
+    "membership": ["--matrix", WORKED_MATRIX, "--sigma", "[3,1,2]"],
+    "oracle": ["--n", "3", "--trials", "5"],
+    "lie-exp": ["--input", '{"n":2,"tdiag":[1.0,-1.0]}'],
+    "lie-log": ["--input", '{"n":2,"diag":[2.0,0.5]}'],
+    "lie-basis": ["--n", "3"],
+    "lie-structure": ["--n", "3"],
+    "components": ["--input", '{"n":3,"diag":[-2.0,-0.5,1.0]}'],
+}
+
+# Runs each argv of a JSON list, then prints the exit codes and sys.modules.
+_HARNESS = """
+import json, runpy, sys
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = argv
+    try:
+        if argv[0] == "bmsym":
+            runpy.run_module("bmsym", run_name="__main__", alter_sys=True)
+        else:  # not runpy.run_path, which imports pkgutil and with it typing
+            with open(argv[0], encoding="utf-8") as demo:
+                exec(compile(demo.read(), argv[0], "exec"), {"__name__": "__main__"})
+        codes.append(0)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+
+
+def loaded_by(rows, *flags):
+    """sys.modules after one child ran each argv of ``rows``, every one with
+    exit code 0 and no stderr: ``["bmsym", ...]`` as ``python -m bmsym ...``
+    and ``[path]`` as ``python path``."""
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", _HARNESS, json.dumps(rows)], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    codes, modules = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(rows)
+    return set(modules)

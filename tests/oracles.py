@@ -14,7 +14,8 @@ classifier's one row pass against the two-pass decision it replaced, the
 fused group law and action against the chained kernels they replaced, and
 ``@`` and ``apply`` against the sums of ``Fraction`` products, and the
 rational literal reader against the regex check followed by ``Fraction``'s
-own string grammar that it replaced.  The
+own string grammar that it replaced, the Lie basis against its summed trace,
+and the classifier's verdicts against the definition, expanded or at points.  The
 determinant and the diagonal read-off of a RationalMatrix live here too,
 since only the tests use them.
 """
@@ -44,6 +45,7 @@ from bmsym import (
     basis,
     extract_pattern,
 )
+from bmsym.lie import _traceless
 from bmsym.matrix import _inv, _unchecked, as_fraction
 
 
@@ -191,6 +193,27 @@ def two_pass_check(m):
     return Symmetry(sigma, scale)
 
 
+def preserves_product_form(m):
+    """Whether prod_i sum_j m_ij y_j - prod_i y_i expands to 0 (sympy)."""
+    import sympy
+
+    y = sympy.symbols(f"y1:{m.n + 1}")
+    image = [sum(sympy.Rational(v.numerator, v.denominator) * s for v, s in zip(row, y))
+             for row in m.rows]
+    return sympy.expand(sympy.Mul(*image) - sympy.Mul(*y)) == 0
+
+
+def product_form_agrees_at_points(m, rng, points=3, bound=10**6):
+    """Whether prod_i (m y)_i == prod_i y_i at ``points`` random y in [-bound, bound]^n,
+    exactly.  By Schwartz-Zippel a nonzero degree-n difference vanishes at each with
+    probability at most n / (2 bound + 1): a false agreement at n <= 64 is below 1e-12."""
+    for _ in range(points):
+        y = [rng.randint(-bound, bound) for _ in range(m.n)]
+        if math.prod(m.apply(y)) != math.prod(y):
+            return False
+    return True
+
+
 def numpy_bracket(x, y):
     """Diagonal of the commutator XY - YX of the dense float matrices, by numpy."""
     dense_x = np.diag([float(v) for v in x.diag])
@@ -206,6 +229,11 @@ def expanded_bracket(x, y):
     head = [float(Fraction(a) * Fraction(b) - Fraction(b) * Fraction(a))
             for a, b in zip(x.diag[:-1], y.diag[:-1])]
     return TracelessDiagonal((*head, 0.0 - math.fsum(head)))
+
+
+def summed_basis(n, i):
+    """lie.basis as the chart's unit vector i completed by minus its summed trace."""
+    return _traceless(tuple(Fraction(j == i) for j in range(1, n)))
 
 
 def expanded_structure_constants(n):

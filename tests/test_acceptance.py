@@ -296,47 +296,3 @@ def test_criterion_8_cli_determinism_and_exit_codes():
     finally:
         _report(8, ok)
 
-
-# Every subcommand, and structure_constants itself, without numpy, and the
-# Lie subcommands without the group layer: one child interpreter runs the
-# calls with the modules blocked (None in sys.modules makes their import
-# raise ImportError), another runs them normally.
-_CLI_OUTPUTS = """
-import contextlib, io, json, sys
-from bmsym.cli import main
-from bmsym.lie import structure_constants
-outputs = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    outputs.append([argv, out.getvalue(), err.getvalue(), code])
-outputs += [repr(structure_constants(n).tolist()) for n in range(2, 7)]
-print(json.dumps(outputs))
-"""
-NO_NUMPY_RUNS = SUBCOMMAND_RUNS + [["lie-structure", "--n", str(n)] for n in range(2, 7)]
-LIE_RUNS = [args for args in NO_NUMPY_RUNS if args[0].startswith(("lie-", "components"))]
-
-
-def _cli_outputs(prelude, runs=NO_NUMPY_RUNS):
-    result = subprocess.run(
-        [sys.executable, "-c", prelude + _CLI_OUTPUTS, json.dumps(runs)],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
-def test_every_subcommand_runs_without_numpy():
-    blocked = _cli_outputs("import sys; sys.modules['numpy'] = None")
-    assert blocked == _cli_outputs("")
-    assert all(code == 0 for _, _, _, code in json.loads(blocked)[: len(NO_NUMPY_RUNS)])
-
-
-def test_lie_subcommands_run_without_the_group_layer():
-    blocked = _cli_outputs(
-        "import sys; sys.modules['bmsym.group'] = sys.modules['bmsym.permutation'] = None",
-        LIE_RUNS,
-    )
-    assert blocked == _cli_outputs("", LIE_RUNS)
-    assert all(code == 0 for _, _, _, code in json.loads(blocked)[: len(LIE_RUNS)])

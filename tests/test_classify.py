@@ -28,6 +28,7 @@ from bmsym import (
     theorem_oracle,
     witness_violates,
 )
+from bmsym.classify import _inject_off_pattern
 from bmsym.sampling import (
     random_nonzero_rational,
     random_scaled_perm,
@@ -41,6 +42,8 @@ from oracles import (
     dense_membership,
     enumerated_check,
     enumerated_permanent,
+    preserves_product_form,
+    product_form_agrees_at_points,
     ryser_permanent,
     support_scan_degenerate,
     two_pass_check,
@@ -520,3 +523,34 @@ def test_violation_verdict_changes_metric():
                 found += 1
                 break
     assert found == 40
+
+
+# the verdict against the definition, prod_i (Jy)_i = prod_i y_i identically; at
+# n = 2, (a y1 + b y2)(c y1 + d y2) = y1 y2 iff ac = 0, bd = 0 and ad + bc = 1
+TWO_BY_TWO = [[[1, 0], [0, 1]], [[0, 5], [F(1, 5), 0]], [[0, 1], [1, 0]], [[1, 0], [1, 1]],
+              [[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 1], [-1, 0]], [[1, 1], [1, -1]]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verdict_matches_the_expanded_product_form(n):
+    pytest.importorskip("sympy")
+    one = RationalMatrix.identity(n)
+    # scale product -1, minus the identity (a symmetry at even n only), a zero
+    # row, and one entry off the pattern
+    edges = [one.with_entry(1, 1, -1), RationalMatrix([[-v for v in row] for row in one.rows]),
+             one.with_entry(n, n, 0), one.with_entry(1, n, F(1, 2))]
+    edges += [RationalMatrix(rows) for rows in TWO_BY_TWO if n == 2]
+    for m in [*_cross_check_matrices(n, random.Random(f"definition:{n}"), 100), *edges]:
+        assert isinstance(invariance_system_check(m), Symmetry) == preserves_product_form(m), m
+
+
+@pytest.mark.parametrize("n", [5, 8, 16, 64])
+def test_oracle_verdicts_match_the_product_form_at_random_points(n):
+    rng = random.Random(f"points:{n}")
+    for index in range(50):
+        trial = trial_rng(0, index)  # theorem_oracle's draws at seed 0
+        element = random_scaled_perm(n, trial)
+        dense = element.to_dense()
+        for m in (dense, _inject_off_pattern(element, dense, trial, random_nonzero_rational)):
+            verdict = isinstance(invariance_system_check(m, max_n=n), Symmetry)
+            assert verdict == product_form_agrees_at_points(m, rng), (index, m)

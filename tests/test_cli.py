@@ -9,10 +9,8 @@ import bmsym
 from bmsym.cli import build_parser, main
 from bmsym.errors import DEFAULT_MAX_N
 from bmsym.serialize import canonical_dumps
+from helpers import ELEMENT_P, ELEMENT_Q, SUBCOMMAND_ARGS, WORKED_MATRIX, loaded_by
 
-WORKED_MATRIX = '{"n":3,"rows":[["0","2","0"],["0","0","3"],["1/6","0","0"]]}'
-ELEMENT_P = '{"n":3,"sigma":[2,3,1],"scale":["2","3","1/6"]}'
-ELEMENT_Q = '{"n":3,"sigma":[2,1,3],"scale":["1/2","2","1"]}'
 BIG_IDENTITY = json.dumps(
     {"n": 9, "rows": [[str(int(i == j)) for j in range(9)] for i in range(9)]}
 )
@@ -277,47 +275,13 @@ def test_cli_import_does_not_load_numpy():
     assert result.stdout == "False\n"
 
 
-# One successful call of each of the twelve subcommands.
-SUBCOMMAND_ARGS = {
-    "compose": ["--a", ELEMENT_P, "--b", ELEMENT_Q],
-    "inverse": ["--input", ELEMENT_P],
-    "apply": ["--input", ELEMENT_P, "--y", '["1","2","4"]'],
-    "metric": ["--y", "[1,2,4]"],
-    "classify": ["--matrix", WORKED_MATRIX],
-    "membership": ["--matrix", WORKED_MATRIX, "--sigma", "[3,1,2]"],
-    "oracle": ["--n", "3", "--trials", "5"],
-    "lie-exp": ["--input", '{"n":2,"tdiag":[1.0,-1.0]}'],
-    "lie-log": ["--input", '{"n":2,"diag":[2.0,0.5]}'],
-    "lie-basis": ["--n", "3"],
-    "lie-structure": ["--n", "3"],
-    "components": ["--input", '{"n":3,"diag":[-2.0,-0.5,1.0]}'],
-}
 GROUP_SUBCOMMANDS = ("compose", "inverse", "apply", "metric")
 LIE_SUBCOMMANDS = ("lie-exp", "lie-log", "lie-basis", "lie-structure", "components")
-
-_LOADED_AFTER_MAIN = (
-    "import sys\n"
-    "from bmsym.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m == 'numpy' or m.startswith('bmsym')))\n"
-)
-
-
-def loaded_after(*argv):
-    """Exit code of one CLI call in a fresh interpreter, and the bmsym and
-    numpy modules loaded when it returns."""
-    result = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER_MAIN, *argv], capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    code, *modules = result.stdout.splitlines()[-1].split()
-    return int(code), set(modules)
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMAND_ARGS)
 def test_subcommand_loads_only_its_layers(subcommand):
-    code, modules = loaded_after(subcommand, *SUBCOMMAND_ARGS[subcommand])
-    assert code == 0
+    modules = loaded_by([["bmsym", subcommand, *SUBCOMMAND_ARGS[subcommand]]])
     assert "numpy" not in modules
     if subcommand in GROUP_SUBCOMMANDS:
         assert not modules & {"bmsym.classify", "bmsym.lie"}

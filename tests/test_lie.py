@@ -19,6 +19,7 @@ from oracles import (
     expanded_structure_constants,
     near_unit_product,
     numpy_bracket,
+    summed_basis,
 )
 
 from bmsym import (
@@ -390,6 +391,11 @@ def test_basis_placement():
     assert basis(3, 1).diag == (F(1), F(0), F(-1))
     assert basis(3, 2).diag == (F(0), F(1), F(-1))
     assert basis(2, 1).diag == (F(1), F(-1))
+
+
+def test_basis_equals_the_summed_construction():
+    for n in range(2, 13):
+        assert all(repr(basis(n, i)) == repr(summed_basis(n, i)) for i in range(1, n))
 
 
 def test_basis_index_range():

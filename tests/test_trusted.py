@@ -18,7 +18,7 @@ from bmsym import (
     metric_power,
 )
 from bmsym.classify import _inject_off_pattern
-from bmsym.sampling import random_scaled_perm, trial_rng
+from bmsym.sampling import random_nonzero_rational, random_scaled_perm, trial_rng
 from bmsym.serialize import matrix_from_obj
 from helpers import affine_symmetries, permutations, rationals, scaled_perms, vectors
 from oracles import constructed_off_pattern, constructed_random_scaled_perm
@@ -166,7 +166,8 @@ def test_verdicts_revalidate(a):
 def test_sampled_elements_and_perturbed_matrices_revalidate(seed, index, n, positive):
     element = random_scaled_perm(n, trial_rng(seed, index), positive=positive)
     assert_valid_scaled(element)
-    assert_valid_matrix(_inject_off_pattern(element, element.to_dense(), trial_rng(seed, index)))
+    dense, rng = element.to_dense(), trial_rng(seed, index)
+    assert_valid_matrix(_inject_off_pattern(element, dense, rng, random_nonzero_rational))
 
 
 def test_sampling_makes_the_draws_of_the_constructor_path():
@@ -178,6 +179,7 @@ def test_sampling_makes_the_draws_of_the_constructor_path():
                 rng, reference = trial_rng(seed, n), trial_rng(seed, n)
                 element = random_scaled_perm(n, rng, positive=positive)
                 assert element == constructed_random_scaled_perm(n, reference, positive=positive)
-                perturbed = _inject_off_pattern(element, element.to_dense(), rng)
+                dense = element.to_dense()
+                perturbed = _inject_off_pattern(element, dense, rng, random_nonzero_rational)
                 assert perturbed == constructed_off_pattern(element, reference)
                 assert rng.getstate() == reference.getstate()
