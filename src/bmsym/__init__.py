@@ -27,13 +27,12 @@ _EXPORTS = {
             " NegativeRadicand NotIdentityComponent NotMonomial NotSquare"
             " TraceNotZero UnitProductViolation ZeroCoordinate ZeroScale"
         ),
-        "group": "AffineSymmetry ScaledPerm metric metric_power",
+        "group": "AffineSymmetry Permutation ScaledPerm",
         "lie": (
             "DiagonalGroupElement TracelessDiagonal as_scaled_perm basis bracket"
             " chart component_signature dn1_new lie_exp lie_log mu structure_constants"
         ),
-        "matrix": "RationalMatrix as_fraction as_vector",
-        "permutation": "Permutation",
+        "matrix": "RationalMatrix as_fraction as_vector metric metric_power",
     }.items()
     for name in names.split()
 }

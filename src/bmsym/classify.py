@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
-from .group import AffineSymmetry, ScaledPerm
+from .group import AffineSymmetry, Permutation, ScaledPerm
 from .matrix import ZERO, RationalMatrix, _prod, _unchecked, as_vector
-from .permutation import Permutation
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def _cmd_apply(args) -> tuple[object, int]:
 
 
 def _cmd_metric(args) -> tuple[object, int]:
-    from .group import metric
+    from .matrix import metric
 
     point = vector_from_obj(_load(args.y), "--y")
     return {"F": metric(point)}, 0

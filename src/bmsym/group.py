@@ -1,6 +1,7 @@
-"""Scaled permutation matrices, the affine symmetry group, and the metric.
+"""The symmetry group: permutations, scaled permutations and affine symmetries.
 
-A scaled permutation (monomial) matrix carries the value ``scale[i]`` in row
+A permutation of {1..n} is in one-line notation (1-based throughout).  A
+scaled permutation (monomial) matrix carries the value ``scale[i]`` in row
 ``i``, column ``sigma(i)``, and zeros elsewhere.  With the scale product
 pinned to 1 these matrices are exactly the linear maps preserving the product
 form ``y^1 y^2 ... y^n``; adding an arbitrary translation gives the affine
@@ -9,32 +10,93 @@ symmetry group of the metric ``F(y) = (y^1 ... y^n)^(1/n)``.
 Validation contract: the constructors check everything (a bijection, nonzero
 scales of product 1, matching lengths, exact entries), and so does ``apply``
 on a caller's vector.  ``compose``, ``inverse`` and ``to_dense`` build their
-results unchecked: the scales of a product multiply to 1 * 1 and those of an
-inverse to 1 / 1, so validity follows by algebra.  Past the constructors
-every entry is an exact ``Fraction``, so each group-law and action method
-is one pass of a fused kernel of ``matrix`` (one gcd per entry, no
-intermediate vector) and ``metric_power`` is one ``_prod``.
+results unchecked: bijections compose and invert to bijections, the scales of
+a product multiply to 1 * 1 and those of an inverse to 1 / 1, so validity
+follows by algebra.  Past the constructors every entry is an exact
+``Fraction``, so each group-law and action method of a scaled permutation is
+one pass of a fused kernel of ``matrix`` (one gcd per entry, no intermediate
+vector).
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 
-from .errors import (
-    DimensionMismatch,
-    NegativeRadicand,
-    UnitProductViolation,
-    ZeroScale,
-)
+from .errors import DimensionMismatch, UnitProductViolation, ZeroScale
 from .matrix import ONE, ZERO, RationalMatrix, _affine_gather, _inverse_gather, _prod
 from .matrix import _scaled_gather, _unchecked, as_vector
-from .permutation import Permutation
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A bijection of {1..n}; ``image[i-1]`` is the value at ``i``."""
+
+    image: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        image = tuple(self.image)
+        if not all(type(v) is int for v in image):
+            raise TypeError(f"permutation entries must be integers, got {image!r}")
+        object.__setattr__(self, "image", image)
+        n = len(image)
+        if n == 0:
+            raise ValueError("a permutation needs at least one point")
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {image}")
+
+    @property
+    def n(self) -> int:
+        return len(self.image)
+
+    @classmethod
+    def identity(cls, n: int) -> "Permutation":
+        return cls(tuple(range(1, n + 1)))
+
+    def __call__(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise IndexError(f"point {i} outside 1..{self.n}")
+        return self.image[i - 1]
+
+    def compose(self, other: "Permutation") -> "Permutation":
+        """(self . other)(i) = self(other(i)): other acts first."""
+        if self.n != other.n:
+            raise DimensionMismatch(f"cannot compose on {self.n} and {other.n} points")
+        return _unchecked(Permutation, image=tuple(self.image[j - 1] for j in other.image))
+
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.compose(other)
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.n
+        for i, v in enumerate(self.image, start=1):
+            inv[v - 1] = i
+        return _unchecked(Permutation, image=tuple(inv))
+
+    def sign(self) -> int:
+        """+1 for even, -1 for odd, via the cycle decomposition."""
+        seen = [False] * self.n
+        transpositions = 0
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            length = 0
+            cursor = start
+            while not seen[cursor]:
+                seen[cursor] = True
+                cursor = self.image[cursor] - 1
+                length += 1
+            transpositions += length - 1
+        return 1 if transpositions % 2 == 0 else -1
+
+    def is_identity(self) -> bool:
+        return all(v == i for i, v in enumerate(self.image, start=1))
+
+    def __repr__(self) -> str:
+        return f"Permutation({list(self.image)})"
 
 
 @dataclass(frozen=True)
@@ -160,62 +222,3 @@ class AffineSymmetry:
         linear = _unchecked(ScaledPerm, sigma=inv, scale=scale)
         return _unchecked(AffineSymmetry, linear=linear, translation=translation)
 
-
-def metric_power(y: Sequence) -> Fraction:
-    """Exact product y^1 * ... * y^n (the n-th power of the metric).
-
-    This polynomial form is what the group preserves identically, so all
-    exact invariance checks go through it rather than the real root.
-    """
-    vec = as_vector(y)
-    if len(vec) < 2:
-        raise DimensionMismatch("the metric needs n >= 2 coordinates")
-    return _prod(vec)
-
-
-def metric(y: Sequence) -> float:
-    """Real n-th root of the product; signed for odd n.
-
-    Even n with a negative product has no real value and raises
-    NegativeRadicand.  When a running product of nonzero coordinates leaves
-    the normal float range at any step, the float product gives only the
-    sign, and the root comes from the coordinates' mantissas and exponents.
-    """
-    values, exact_zero = [], False
-    for i, v in enumerate(y, 1):
-        try:
-            values.append(float(v))
-        except OverflowError:
-            raise OverflowError(f"coordinate {i} is above the float range") from None
-        exact_zero = exact_zero or v == 0
-    if 0.0 in values and not exact_zero:
-        raise OverflowError("a nonzero coordinate is below the float range")
-    n = len(values)
-    if n < 2:
-        raise DimensionMismatch("the metric needs n >= 2 coordinates")
-    partials = list(accumulate(values, mul))
-    product = partials[-1]
-    if 0.0 in values or all(sys.float_info.min <= abs(p) < math.inf for p in partials):
-        root = abs(product) ** (1.0 / n)
-    else:
-        mantissa, exponent = 1.0, 0
-        for v in values:
-            m, e = math.frexp(v)
-            mantissa, carry = math.frexp(mantissa * m)
-            exponent += e + carry
-        # |product| = |mantissa| * 2**exponent = (|mantissa| * 2**remainder)
-        # * 2**(n * quotient); the first factor is a float while remainder
-        # < 1024, and past that (only for n > 1024) is rooted in two parts
-        quotient, remainder = divmod(exponent, n)
-        if remainder < 1024:
-            base = math.ldexp(abs(mantissa), remainder) ** (1.0 / n)
-        else:
-            base = abs(mantissa) ** (1.0 / n) * 2.0 ** (remainder / n)
-        root = math.ldexp(base, quotient)
-    if n % 2 == 0:
-        # the sign bit, not "< 0", so that an underflow to -0.0 counts too
-        if math.copysign(1.0, product) < 0 and 0.0 not in values:
-            shown = product or "below the float range, negative"
-            raise NegativeRadicand(f"even order {n} with product {shown}")
-        return root
-    return math.copysign(root, product)

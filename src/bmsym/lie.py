@@ -283,7 +283,6 @@ def as_scaled_perm(a: DiagonalGroupElement) -> ScaledPerm:
 
     Requires rational entries with exact unit product; floats are rejected.
     """
-    from .group import ScaledPerm
-    from .permutation import Permutation
+    from .group import Permutation, ScaledPerm
 
     return ScaledPerm(Permutation.identity(a.n), a.diag)

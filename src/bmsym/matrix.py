@@ -1,4 +1,4 @@
-"""Dense square matrices and vectors over exact rationals.
+"""Dense square matrices and vectors over exact rationals, and the product form.
 
 Validation contract: constructors check and coerce everything they are
 given; operations on already-valid values (here ``@``, in ``group`` the
@@ -19,15 +19,22 @@ of validated ``Fraction``s from the ``_numerator`` and ``_denominator`` slots
 (Python 3.10+; ``as_integer_ratio`` is a method call) and build each result
 once, in lowest terms with a positive denominator: exactly the ``Fraction``
 (value, numerator, denominator, hash and type) that the operators return.
+
+The product form: ``metric_power`` is the exact product ``y^1 ... y^n`` (one
+``_prod``), the polynomial that the group of ``group`` preserves, and
+``metric`` is its real n-th root ``F(y)``, the metric, in floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from .errors import DimensionMismatch, NotSquare
+from .errors import DimensionMismatch, NegativeRadicand, NotSquare
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,6 +108,66 @@ def _prod(values: Iterable[Fraction]) -> Fraction:
         denominator *= v._denominator
     g = math.gcd(numerator, denominator)
     return _fraction(numerator // g, denominator // g)
+
+
+def metric_power(y: Sequence) -> Fraction:
+    """Exact product y^1 * ... * y^n (the n-th power of the metric).
+
+    This polynomial form is what the group preserves identically, so all
+    exact invariance checks go through it rather than the real root.
+    """
+    vec = as_vector(y)
+    if len(vec) < 2:
+        raise DimensionMismatch("the metric needs n >= 2 coordinates")
+    return _prod(vec)
+
+
+def metric(y: Sequence) -> float:
+    """Real n-th root of the product; signed for odd n.
+
+    Even n with a negative product has no real value and raises
+    NegativeRadicand.  When a running product of nonzero coordinates leaves
+    the normal float range at any step, the float product gives only the
+    sign, and the root comes from the coordinates' mantissas and exponents.
+    """
+    values, exact_zero = [], False
+    for i, v in enumerate(y, 1):
+        try:
+            values.append(float(v))
+        except OverflowError:
+            raise OverflowError(f"coordinate {i} is above the float range") from None
+        exact_zero = exact_zero or v == 0
+    if 0.0 in values and not exact_zero:
+        raise OverflowError("a nonzero coordinate is below the float range")
+    n = len(values)
+    if n < 2:
+        raise DimensionMismatch("the metric needs n >= 2 coordinates")
+    partials = list(accumulate(values, mul))
+    product = partials[-1]
+    if 0.0 in values or all(sys.float_info.min <= abs(p) < math.inf for p in partials):
+        root = abs(product) ** (1.0 / n)
+    else:
+        mantissa, exponent = 1.0, 0
+        for v in values:
+            m, e = math.frexp(v)
+            mantissa, carry = math.frexp(mantissa * m)
+            exponent += e + carry
+        # |product| = |mantissa| * 2**exponent = (|mantissa| * 2**remainder)
+        # * 2**(n * quotient); the first factor is a float while remainder
+        # < 1024, and past that (only for n > 1024) is rooted in two parts
+        quotient, remainder = divmod(exponent, n)
+        if remainder < 1024:
+            base = math.ldexp(abs(mantissa), remainder) ** (1.0 / n)
+        else:
+            base = abs(mantissa) ** (1.0 / n) * 2.0 ** (remainder / n)
+        root = math.ldexp(base, quotient)
+    if n % 2 == 0:
+        # the sign bit, not "< 0", so that an underflow to -0.0 counts too
+        if math.copysign(1.0, product) < 0 and 0.0 not in values:
+            shown = product or "below the float range, negative"
+            raise NegativeRadicand(f"even order {n} with product {shown}")
+        return root
+    return math.copysign(root, product)
 
 
 def _scaled_gather(scale: Vec, image: Sequence[int], vec: Vec) -> tuple[Fraction, ...]:

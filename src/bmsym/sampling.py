@@ -16,9 +16,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .group import ScaledPerm
+from .group import Permutation, ScaledPerm
 from .matrix import _inv, _prod, _unchecked
-from .permutation import Permutation
 
 _NONZERO = tuple(tuple(Fraction(p, q) for q in range(-9, 10) if q) for p in range(-9, 10) if p)
 _POSITIVE = tuple(tuple(Fraction(p, q) for q in range(1, 10)) for p in range(1, 10))

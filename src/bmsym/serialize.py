@@ -31,9 +31,8 @@ from .matrix import RationalMatrix, _unchecked
 TYPE_CHECKING = False  # true to a type checker; the run time imports no typing
 if TYPE_CHECKING:
     from .classify import OracleReport
-    from .group import AffineSymmetry, ScaledPerm
+    from .group import AffineSymmetry, Permutation, ScaledPerm
     from .lie import DiagonalGroupElement, TracelessDiagonal
-    from .permutation import Permutation
 
 _RATIONAL = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -110,7 +109,7 @@ def _require_n(obj: dict, default=None) -> int:
 
 
 def permutation_from_obj(obj, n: int) -> Permutation:
-    from .permutation import Permutation
+    from .group import Permutation
 
     image = tuple(_require_list(obj, '"sigma"', n))
     try:

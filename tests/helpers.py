@@ -69,6 +69,9 @@ def vectors(draw, n, entries=nonzero_rationals):
 WORKED_MATRIX = '{"n":3,"rows":[["0","2","0"],["0","0","3"],["1/6","0","0"]]}'
 ELEMENT_P = '{"n":3,"sigma":[2,3,1],"scale":["2","3","1/6"]}'
 ELEMENT_Q = '{"n":3,"sigma":[2,1,3],"scale":["1/2","2","1"]}'
+BIG_IDENTITY = json.dumps(
+    {"n": 9, "rows": [[str(int(i == j)) for j in range(9)] for i in range(9)]}
+)
 
 # One successful call of each of the twelve subcommands.
 SUBCOMMAND_ARGS = {

@@ -40,6 +40,7 @@ from bmsym import (
 )
 from bmsym.lie import TracelessDiagonal
 from bmsym.sampling import random_nonzero_rational, random_scaled_perm, random_vector
+from helpers import BIG_IDENTITY, ELEMENT_P, ELEMENT_Q, WORKED_MATRIX
 from oracles import cofactor_det
 
 TOL = 1e-12
@@ -226,13 +227,7 @@ def test_criterion_7_lie_suite():
         _report(7, ok)
 
 
-WORKED_MATRIX = '{"n":3,"rows":[["0","2","0"],["0","0","3"],["1/6","0","0"]]}'
 VIOLATION_MATRIX = '{"n":3,"rows":[["1","1/2","0"],["0","1","0"],["0","0","1"]]}'
-ELEMENT_P = '{"n":3,"sigma":[2,3,1],"scale":["2","3","1/6"]}'
-ELEMENT_Q = '{"n":3,"sigma":[2,1,3],"scale":["1/2","2","1"]}'
-BIG_IDENTITY = json.dumps(
-    {"n": 9, "rows": [[str(int(i == j)) for j in range(9)] for i in range(9)]}
-)
 
 SUBCOMMAND_RUNS = [
     ["compose", "--a", ELEMENT_P, "--b", ELEMENT_Q],

@@ -9,11 +9,7 @@ import bmsym
 from bmsym.cli import build_parser, main
 from bmsym.errors import DEFAULT_MAX_N
 from bmsym.serialize import canonical_dumps
-from helpers import ELEMENT_P, ELEMENT_Q, SUBCOMMAND_ARGS, WORKED_MATRIX, loaded_by
-
-BIG_IDENTITY = json.dumps(
-    {"n": 9, "rows": [[str(int(i == j)) for j in range(9)] for i in range(9)]}
-)
+from helpers import BIG_IDENTITY, ELEMENT_P, ELEMENT_Q, SUBCOMMAND_ARGS, WORKED_MATRIX
 
 
 def run_cli(*args):
@@ -266,29 +262,6 @@ def test_deeply_nested_json_is_exit_2(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     _assert_one_line_input_error(run_cli("classify", "--matrix", str(deep)))
-
-
-def test_cli_import_does_not_load_numpy():
-    code = "import sys, bmsym.cli; print('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
-
-
-GROUP_SUBCOMMANDS = ("compose", "inverse", "apply", "metric")
-LIE_SUBCOMMANDS = ("lie-exp", "lie-log", "lie-basis", "lie-structure", "components")
-
-
-@pytest.mark.parametrize("subcommand", SUBCOMMAND_ARGS)
-def test_subcommand_loads_only_its_layers(subcommand):
-    modules = loaded_by([["bmsym", subcommand, *SUBCOMMAND_ARGS[subcommand]]])
-    assert "numpy" not in modules
-    if subcommand in GROUP_SUBCOMMANDS:
-        assert not modules & {"bmsym.classify", "bmsym.lie"}
-    if subcommand in LIE_SUBCOMMANDS:
-        assert "bmsym.classify" not in modules
-    if subcommand in ("classify", "membership"):  # only the oracle samples
-        assert "bmsym.sampling" not in modules
 
 
 def test_import_bmsym_loads_no_submodule():

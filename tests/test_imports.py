@@ -21,12 +21,12 @@ DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("
 ROWS = {name: ["bmsym", name, *args] for name, args in SUBCOMMAND_ARGS.items()}
 ROWS.update({demo.name: [str(demo)] for demo in DEMOS})
 
-CORE = "bmsym bmsym.cli bmsym.errors bmsym.matrix bmsym.serialize dataclasses"
-GROUP = CORE + " bmsym.group bmsym.permutation"
-LIE = CORE + " bmsym.lie"
-DEMO = "bmsym bmsym.errors bmsym.group bmsym.matrix bmsym.permutation dataclasses"
+CORE = "bmsym bmsym.cli bmsym.errors bmsym.matrix bmsym.serialize"
+GROUP = CORE + " bmsym.group dataclasses"
+LIE = CORE + " bmsym.lie dataclasses"
+DEMO = "bmsym bmsym.errors bmsym.group bmsym.matrix dataclasses"
 CONTRACT = {
-    "compose": GROUP, "inverse": GROUP, "apply": GROUP, "metric": GROUP,
+    "compose": GROUP, "inverse": GROUP, "apply": GROUP, "metric": CORE,
     "classify": GROUP + " bmsym.classify", "membership": GROUP + " bmsym.classify",
     "oracle": GROUP + " bmsym.classify bmsym.sampling",
     "lie-exp": LIE, "lie-log": LIE, "lie-basis": LIE, "lie-structure": LIE, "components": LIE,
