@@ -21,8 +21,8 @@ or is monomial (permanent = scale product), so the verdict needs no
 permanent.  `permanent`, kept to re-check witnesses, expands along the row
 supports (O(n) on a monomial); the dimension cap (DEFAULT_MAX_N) is a
 policy limit.
-Verdicts and the oracle's perturbed matrices are built unchecked: the
-decision proved distinct support columns and a unit scale product.
+Verdicts are built unchecked: the decision proved distinct support columns
+and a unit scale product.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, Permutation, ScaledPerm
-from .matrix import ZERO, RationalMatrix, _prod, _unchecked, as_vector
+from .matrix import ZERO, RationalMatrix, _prod, _sized_vector, _unchecked
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,7 @@ def classify_affine(
     matrix: RationalMatrix, translation, *, max_n: int = DEFAULT_MAX_N
 ) -> AffineSymmetry | Violation:
     """Classify x -> J x + t; the translation is unconstrained."""
-    translation = as_vector(translation)
-    if len(translation) != matrix.n:
-        raise DimensionMismatch(
-            f"translation length {len(translation)} for a {matrix.n}x{matrix.n} matrix"
-        )
+    translation = _sized_vector(translation, matrix.n, "translation")
     found = _decide(matrix, max_n)
     if type(found) is Violation:
         return found
@@ -255,10 +251,7 @@ def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng, draw) -
     row = rng.randrange(n) + 1
     on_column = element.sigma.image[row - 1]
     column = rng.choice([j for j in range(1, n + 1) if j != on_column])
-    rows = list(dense.rows)
-    entries = rows[row - 1]
-    rows[row - 1] = entries[: column - 1] + (draw(rng),) + entries[column:]
-    return _unchecked(RationalMatrix, n=n, rows=tuple(rows))
+    return dense.with_entry(row, column, draw(rng))
 
 
 def theorem_oracle(

@@ -8,14 +8,14 @@ form ``y^1 y^2 ... y^n``; adding an arbitrary translation gives the affine
 symmetry group of the metric ``F(y) = (y^1 ... y^n)^(1/n)``.
 
 Validation contract: the constructors check everything (a bijection, nonzero
-scales of product 1, matching lengths, exact entries), and so does ``apply``
-on a caller's vector.  ``compose``, ``inverse`` and ``to_dense`` build their
-results unchecked: bijections compose and invert to bijections, the scales of
-a product multiply to 1 * 1 and those of an inverse to 1 / 1, so validity
-follows by algebra.  Past the constructors every entry is an exact
-``Fraction``, so each group-law and action method of a scaled permutation is
-one pass of a fused kernel of ``matrix`` (one gcd per entry, no intermediate
-vector).
+scales of product 1, exact entries), and ``apply`` checks a caller's vector;
+each length goes through ``matrix._sized_vector``.  ``compose``, ``inverse``
+and ``to_dense`` build their results unchecked: bijections compose and invert
+to bijections, the scales of a product multiply to 1 * 1 and those of an
+inverse to 1 / 1, so validity follows by algebra.  Past the constructors every
+entry is an exact ``Fraction``, so each group-law and action method of a
+scaled permutation is one pass of a fused kernel of ``matrix`` (one gcd per
+entry, no intermediate vector).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, UnitProductViolation, ZeroScale
 from .matrix import ONE, ZERO, RationalMatrix, _affine_gather, _inverse_gather, _prod
-from .matrix import _scaled_gather, _unchecked, as_vector
+from .matrix import _scaled_gather, _sized_vector, _unchecked
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,8 @@ class ScaledPerm:
     scale: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        scale = as_vector(self.scale)
+        scale = _sized_vector(self.scale, self.sigma.n, "scale")
         object.__setattr__(self, "scale", scale)
-        if len(scale) != self.sigma.n:
-            raise DimensionMismatch(
-                f"{len(scale)} scales for a permutation of {self.sigma.n} points"
-            )
         if any(v == 0 for v in scale):
             raise ZeroScale("scale entries must be nonzero")
         product = _prod(scale)
@@ -161,13 +157,7 @@ class ScaledPerm:
 
     def apply(self, y: Sequence) -> tuple[Fraction, ...]:
         """Componentwise action: result[i] = scale[i] * y[sigma(i)]."""
-        return _scaled_gather(self.scale, self.sigma.image, self._checked_vector(y))
-
-    def _checked_vector(self, y: Sequence) -> tuple[Fraction, ...]:
-        vec = as_vector(y)
-        if len(vec) != self.n:
-            raise DimensionMismatch(f"vector length {len(vec)}, expected {self.n}")
-        return vec
+        return _scaled_gather(self.scale, self.sigma.image, _sized_vector(y, self.n, "vector"))
 
 
 @dataclass(frozen=True)
@@ -178,12 +168,8 @@ class AffineSymmetry:
     translation: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        translation = as_vector(self.translation)
+        translation = _sized_vector(self.translation, self.linear.n, "translation")
         object.__setattr__(self, "translation", translation)
-        if len(translation) != self.linear.n:
-            raise DimensionMismatch(
-                f"translation length {len(translation)}, expected {self.linear.n}"
-            )
 
     @property
     def n(self) -> int:
@@ -201,8 +187,8 @@ class AffineSymmetry:
         return self.linear.is_identity() and all(v == 0 for v in self.translation)
 
     def apply(self, x: Sequence) -> tuple[Fraction, ...]:
-        lin = self.linear
-        return _affine_gather(lin.scale, lin.sigma.image, lin._checked_vector(x), self.translation)
+        lin, vec = self.linear, _sized_vector(x, self.linear.n, "vector")
+        return _affine_gather(lin.scale, lin.sigma.image, vec, self.translation)
 
     def compose(self, other: "AffineSymmetry") -> "AffineSymmetry":
         """self after other: apply(compose(s, t), x) == apply(s, apply(t, x))."""

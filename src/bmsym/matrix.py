@@ -1,10 +1,11 @@
 """Dense square matrices and vectors over exact rationals, and the product form.
 
 Validation contract: constructors check and coerce everything they are
-given; operations on already-valid values (here ``@``, in ``group`` the
-group law and ``to_dense``) build their results with ``_unchecked``,
-because validity follows by algebra.  Every stored entry is exactly a
-``Fraction`` either way.
+given, and ``_sized_vector`` is the one length check on a caller's vector.
+Operations on already-valid values (here ``@`` and ``with_entry``, which
+checks only its new entry; in ``group`` the group law and ``to_dense``)
+build their results with ``_unchecked``, because validity follows by
+algebra.  Every stored entry is exactly a ``Fraction`` either way.
 
 Kernels: ``_inv`` (reciprocal) and ``_prod`` (sequence product) do the
 scalar arithmetic of ``classify``, ``sampling`` and ``lie``.  ``apply`` is
@@ -54,6 +55,14 @@ def as_vector(values: Iterable) -> tuple[Fraction, ...]:
     if type(values) in (tuple, list) and set(map(type, values)) == {Fraction}:
         return tuple(values)  # already exact: one C-speed pass, no call per entry
     return tuple(as_fraction(v) for v in values)
+
+
+def _sized_vector(values: Iterable, n: int, what: str) -> tuple[Fraction, ...]:
+    """``as_vector(values)``, checked to have length ``n``."""
+    vec = as_vector(values)
+    if len(vec) != n:
+        raise DimensionMismatch(f"{what} length {len(vec)}, expected {n}")
+    return vec
 
 
 def _unchecked(cls, **fields):
@@ -245,12 +254,12 @@ class RationalMatrix:
         return self.rows[i - 1][j - 1]
 
     def with_entry(self, i: int, j: int, value) -> "RationalMatrix":
-        """Copy with the 1-based (i, j) entry replaced."""
+        """Copy with the 1-based (i, j) entry replaced; only the new entry is checked."""
         self.entry(i, j)  # the index check
-        value = as_fraction(value)
-        rows = [list(row) for row in self.rows]
-        rows[i - 1][j - 1] = value
-        return RationalMatrix(rows)
+        rows = list(self.rows)
+        row = rows[i - 1]
+        rows[i - 1] = row[: j - 1] + (as_fraction(value),) + row[j:]
+        return _unchecked(RationalMatrix, n=self.n, rows=tuple(rows))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
@@ -278,9 +287,7 @@ class RationalMatrix:
         return _unchecked(RationalMatrix, n=n, rows=tuple(out))
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
-        vec = as_vector(vector)
-        if len(vec) != self.n:
-            raise DimensionMismatch(f"vector length {len(vec)} for a {self.n}x{self.n} matrix")
+        vec = _sized_vector(vector, self.n, "vector")
         return tuple(_dot(row, vec) for row in self.rows)
 
     def __eq__(self, other) -> bool:

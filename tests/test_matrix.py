@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmsym import NotSquare, RationalMatrix, as_fraction, as_vector
+from bmsym import AffineSymmetry, DimensionMismatch, NotSquare, Permutation, RationalMatrix
+from bmsym import ScaledPerm, as_fraction, as_vector, classify_affine
 from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod
 from bmsym.matrix import _scaled_gather
 from helpers import NO_SHRINK, nonzero_rationals, scaled_perms, wide_nonzero_rationals
@@ -51,6 +52,36 @@ def test_entry_indices_outside_one_to_n_raise():
         with pytest.raises(IndexError, match=r"outside 1\.\.2"):
             m.with_entry(i, j, 7)
     assert m.with_entry(2, 2, 7) == RationalMatrix([[1, 2], [3, 7]])
+
+
+def test_with_entry_checks_only_the_new_entry():
+    m = RationalMatrix([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        m.with_entry(1, 2, 0.5)
+    edited = m.with_entry(1, 2, "1/2")
+    assert edited == RationalMatrix([[1, "1/2"], [3, 4]])
+    assert edited.rows[1] is m.rows[1]  # the untouched row is shared, not rebuilt
+    assert all(type(v) is Fraction for row in edited.rows for v in row)
+
+
+# every caller vector of the exact layer: entry point -> (call, what its message names)
+SIZED_VECTOR_SITES = {
+    "ScaledPerm": (lambda v: ScaledPerm(Permutation.identity(3), v), "scale"),
+    "AffineSymmetry": (lambda v: AffineSymmetry(ScaledPerm.identity(3), v), "translation"),
+    "ScaledPerm.apply": (lambda v: ScaledPerm.identity(3).apply(v), "vector"),
+    "AffineSymmetry.apply": (lambda v: AffineSymmetry.identity(3).apply(v), "vector"),
+    "RationalMatrix.apply": (lambda v: RationalMatrix.identity(3).apply(v), "vector"),
+    "classify_affine": (lambda v: classify_affine(RationalMatrix.identity(3), v), "translation"),
+}
+
+
+@pytest.mark.parametrize("site", SIZED_VECTOR_SITES)
+@pytest.mark.parametrize("length", [2, 4])
+def test_every_caller_vector_has_one_length_rule(site, length):
+    call, what = SIZED_VECTOR_SITES[site]
+    with pytest.raises(DimensionMismatch, match=f"^{what} length {length}, expected 3$"):
+        call((1,) * length)
+    call((1,) * 3)  # the right length passes
 
 
 def test_matmul():
