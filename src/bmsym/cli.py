@@ -6,8 +6,12 @@ exceeded.  Every flag that names an input accepts either a file path or
 inline JSON (recognized by a leading "{" or "[").  The single JSON result
 document goes to stdout (or --output); diagnostics go to stderr.  Each
 subcommand is one row of ``_SUBCOMMANDS`` (name, help, handler, flags),
-and ``build_parser`` adds --output and the row's flags to each.  Each
-handler imports the layers it runs, so a call loads only those.
+and ``build_parser`` adds --output and the row's flags to each.  Every call
+is a fresh process, so it pays only for its own subcommand: ``main`` builds
+the subparser of the row that argv names first, and the whole table only
+when no row has that name (no argv, ``-h``, an unknown name, or an option
+first), so help and usage errors read the same either way.  Each handler
+imports the layers it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -170,13 +174,15 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every row, or of the one row named ``subcommand`` if any is."""
     parser = argparse.ArgumentParser(
         prog="bmsym",
         description="Exact scaled-permutation symmetries of the product-form metric.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    for name, help_text, handler, flags in _SUBCOMMANDS:
+    rows = [row for row in _SUBCOMMANDS if row[0] == subcommand] or _SUBCOMMANDS
+    for name, help_text, handler, flags in rows:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", help="write the JSON document here instead of stdout")
         for flag, options in flags:
@@ -186,8 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # a call names its subcommand first, so its parser needs that row alone
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

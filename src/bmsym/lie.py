@@ -11,13 +11,15 @@ type completes it, unchecked (``dn1_new`` for the group, ``_traceless`` for
 the algebra); a float result is thus projected onto the group or algebra.
 The algebra is abelian (diagonal matrices commute), so the bracket and the
 structure constants are zero by the theorem; the tests hold the expansion.
+Both types are ``matrix._Record`` values, not dataclasses, so the Lie path
+never imports ``dataclasses``: slotted, immutable, compared and hashed by
+their entries, with a dataclass-style ``repr`` and positional ``match``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -27,7 +29,7 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import ONE, ZERO, _inv, _prod, _unchecked, as_fraction
+from .matrix import ONE, ZERO, _Record, _inv, _prod, _unchecked, as_fraction
 
 TYPE_CHECKING = False  # true to a type checker; the run time imports no typing
 if TYPE_CHECKING:
@@ -65,18 +67,17 @@ def _near_unit_product(values) -> bool:
     return abs(num - den) * tol_den <= tol_num * den
 
 
-@dataclass(frozen=True)
-class _Diagonal:
+class _Diagonal(_Record):
     """diag(d_1..d_n), n >= 2; each subclass checks its condition in ``_check``."""
 
-    diag: tuple
+    __slots__ = __match_args__ = ("diag",)
 
-    def __post_init__(self) -> None:
-        diag = tuple(_as_number(v) for v in self.diag)
-        object.__setattr__(self, "diag", diag)
+    def __init__(self, diag) -> None:
+        diag = tuple(_as_number(v) for v in diag)
         if len(diag) < 2:
             raise DimensionMismatch("need at least 2 diagonal entries")
         self._check(diag)
+        object.__setattr__(self, "diag", diag)
 
     @property
     def n(self) -> int:
@@ -85,6 +86,8 @@ class _Diagonal:
 
 class DiagonalGroupElement(_Diagonal):
     """diag(a_1..a_n), nonzero, product 1 (within TOLERANCE for floats)."""
+
+    __slots__ = ()
 
     def _check(self, diag: tuple) -> None:
         if len({isinstance(v, float) for v in diag}) > 1:
@@ -122,6 +125,8 @@ class DiagonalGroupElement(_Diagonal):
 
 class TracelessDiagonal(_Diagonal):
     """diag(t_1..t_n), trace 0 (within TOLERANCE if any is a float); tangent data for exp."""
+
+    __slots__ = ()
 
     def _check(self, diag: tuple) -> None:
         floats = any(isinstance(v, float) for v in diag)

@@ -7,6 +7,10 @@ checks only its new entry; in ``group`` the group law and ``to_dense``)
 build their results with ``_unchecked``, because validity follows by
 algebra.  Every stored entry is exactly a ``Fraction`` either way.
 
+``_Record`` is the immutable base of ``RationalMatrix`` and the Lie records.
+The group and classifier records stay frozen dataclasses: the benchmark's
+tests build a wrong ``AffineSymmetry`` with ``dataclasses.replace``.
+
 Kernels: ``_inv`` (reciprocal) and ``_prod`` (sequence product) do the
 scalar arithmetic of ``classify``, ``sampling`` and ``lie``.  ``apply`` is
 one ``_dot`` (sum of products) per row and ``@`` forms each entry with
@@ -71,6 +75,47 @@ def _unchecked(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _from_fields(cls, values: tuple):
+    """``cls`` holding ``values`` in ``__match_args__`` order, unchecked: the
+    copy and pickle path of ``_Record``."""
+    return _unchecked(cls, **dict(zip(cls.__match_args__, values)))
+
+
+class _Record:
+    """An immutable value with slotted fields, named in ``__match_args__``.
+
+    Equal to a value of the same type with equal fields, hashed by the field
+    tuple, shown as ``Name(field=value, ...)``, and copied or pickled without
+    re-running the constructor's checks, which the value already passed.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return _from_fields, (type(self), self._fields())
 
 
 def _fraction(numerator: int, denominator: int) -> Fraction:
@@ -227,10 +272,10 @@ def _inverse_gather(scale: Vec, image: Sequence[int], shift: Vec | None = None) 
     return tuple(inverses), tuple(quotients)
 
 
-class RationalMatrix:
+class RationalMatrix(_Record):
     """Immutable n x n matrix of Fractions, row-major."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = __match_args__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         data = tuple(as_vector(row) for row in rows)
@@ -239,9 +284,6 @@ class RationalMatrix:
             raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in data]}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -289,12 +331,6 @@ class RationalMatrix:
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         vec = _sized_vector(vector, self.n, "vector")
         return tuple(_dot(row, vec) for row in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)

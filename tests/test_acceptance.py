@@ -261,6 +261,8 @@ EXIT_CODE_FIXTURES = [
     (["apply", "--input", ELEMENT_P, "--y", '["1","2"]'], 2),
     (["inverse", "--input", "missing.json"], 2),
     (["lie-exp", "--input", '{"n":2,"tdiag":[0.5,0.5]}'], 2),
+    (["lie-exp", "--input", '{"n":2,"tdiag":["1","-1"]}'], 2),
+    (["lie-log", "--input", '{"n":2,"diag":[NaN,1.0]}'], 2),
 ]
 
 

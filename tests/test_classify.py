@@ -31,6 +31,7 @@ from bmsym import (
 from bmsym.classify import _inject_off_pattern
 from bmsym.sampling import (
     random_nonzero_rational,
+    random_permutation,
     random_scaled_perm,
     random_vector,
     trial_rng,
@@ -482,6 +483,20 @@ def test_oracle_passes_n2():
 def test_oracle_rejects_bad_trials():
     with pytest.raises(ValueError):
         theorem_oracle(3, 0)
+
+
+SIZE_RAISES = {
+    "theorem_oracle": (lambda: theorem_oracle(1, 1), DimensionMismatch, "the oracle needs n >= 2"),
+    "random_permutation": (lambda: random_permutation(0, random.Random(0)), ValueError,
+                           "a permutation needs at least one point"),
+}
+
+
+@pytest.mark.parametrize("site", SIZE_RAISES)
+def test_oracle_and_sampler_reject_too_few_points(site):
+    call, error, message = SIZE_RAISES[site]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_oracle_cap():

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,7 +9,7 @@ import sys
 import pytest
 
 import bmsym
-from bmsym.cli import build_parser, main
+from bmsym.cli import _SUBCOMMANDS, build_parser, main
 from bmsym.errors import DEFAULT_MAX_N
 from bmsym.serialize import canonical_dumps
 from helpers import BIG_IDENTITY, ELEMENT_P, ELEMENT_Q, SUBCOMMAND_ARGS, WORKED_MATRIX
@@ -233,6 +236,16 @@ def test_trace_past_the_float_sum_is_a_short_line(tdiag, shown):
     assert result.stderr == f"error: trace is {shown}, expected 0\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["lie-exp", "--input", '{"n":2,"tdiag":["1","-1"]}'], "error: expected a number, got '1'"),
+    # Python's json reads NaN and Infinity
+    (["lie-log", "--input", '{"n":2,"diag":[NaN,1.0]}'], "error: non-finite value nan"),
+])
+def test_a_float_entry_must_be_a_finite_json_number(argv, line, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_metric_beyond_float_range_is_exit_2():
     _assert_one_line_input_error(run_cli("metric", "--y", json.dumps(["1" + "0" * 399, "1"])))
 
@@ -362,3 +375,65 @@ def test_parser_defaults(subcommand):
     assert set(vars(args)) == {"handler", *defaults, *dests}
     assert {key: getattr(args, key) for key in defaults} == defaults
     assert callable(args.handler)
+
+
+def _parsed(parser, argv):
+    """The Namespace ``parser`` makes of ``argv``, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def _argv_shapes(subcommand):
+    """A valid call, its help, and each kind of usage error, as argv lists."""
+    args = SUBCOMMAND_ARGS[subcommand]
+    valid = [subcommand, *args]
+    shapes = [
+        valid,
+        [subcommand, "-h"],
+        [subcommand, *_without(args, REQUIRED_FLAGS[subcommand][0])],
+        [*valid, "--nosuch"],
+        [subcommand, f"{args[0]}={args[1]}", *args[2:]],
+        [*valid, "--outp", "out.json"],
+        [*valid, "extra"],
+    ]
+    if len(args[0]) > 5:  # an abbreviation of the first flag, such as --inp
+        shapes.append([subcommand, args[0][:5], *args[1:]])
+    flags = next(row[3] for row in _SUBCOMMANDS if row[0] == subcommand)
+    shapes += [[*valid, flag, "x"] for flag, options in flags if options.get("type") is int]
+    return shapes
+
+
+# argv that names no subcommand first builds the whole table either way
+UNNAMED_ARGV = [[], ["-h"], ["nosuch"], ["comp"], ["--output", "out.json", "compose"]]
+
+
+@pytest.mark.parametrize("subcommand", [*SUBCOMMAND_ARGS, None])
+def test_the_one_row_parser_parses_like_the_whole_table(subcommand, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # help and usage wrap at the terminal width
+    shapes = UNNAMED_ARGV if subcommand is None else _argv_shapes(subcommand)
+    for argv in shapes:
+        one_row = build_parser(argv[0] if argv else None)
+        assert _parsed(one_row, argv) == _parsed(build_parser(), argv), argv
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    for subcommand, args in SUBCOMMAND_ARGS.items():
+        added.clear()
+        assert main([subcommand, *args]) == 0
+        assert added == [subcommand]
+    added.clear()
+    assert main(["comp"]) == 2  # no row has that name: the whole table reports it
+    assert added == [row[0] for row in _SUBCOMMANDS]
+    capsys.readouterr()

@@ -23,7 +23,7 @@ ROWS.update({demo.name: [str(demo)] for demo in DEMOS})
 
 CORE = "bmsym bmsym.cli bmsym.errors bmsym.matrix bmsym.serialize"
 GROUP = CORE + " bmsym.group dataclasses"
-LIE = CORE + " bmsym.lie dataclasses"
+LIE = CORE + " bmsym.lie"
 DEMO = "bmsym bmsym.errors bmsym.group bmsym.matrix dataclasses"
 CONTRACT = {
     "compose": GROUP, "inverse": GROUP, "apply": GROUP, "metric": CORE,

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -173,16 +172,43 @@ def test_diagonal_records_keep_their_dataclass_behaviour():
     assert repr(x) == "TracelessDiagonal(diag=(1.5, -1.5))"
     assert a == DiagonalGroupElement((2, F(1, 2))) and hash(a) == hash((a.diag,))
     assert {x, TracelessDiagonal((1.5, -1.5))} == {x}
-    b = dataclasses.replace(a, diag=(4, F(1, 4)))
+    b = DiagonalGroupElement(diag=(4, F(1, 4)))
     assert type(b) is DiagonalGroupElement and b.diag == (F(4), F(1, 4))
     with pytest.raises(TraceNotZero):
-        dataclasses.replace(x, diag=(1.0, 1.0))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+        TracelessDiagonal(diag=(1.0, 1.0))
+    with pytest.raises(AttributeError, match="^DiagonalGroupElement is immutable$"):
         a.diag = (F(1), F(1))
+    with pytest.raises(AttributeError, match="^TracelessDiagonal is immutable$"):
+        del x.diag
+    match b:
+        case DiagonalGroupElement((four, quarter)):
+            assert (four, quarter) == (4, F(1, 4))
+        case _:
+            pytest.fail("no positional match")
     # the same entries in the group and in the algebra are different values
     for entries in ((F(1), F(1), F(-1), F(-1)), (1.0, 1.0, -1.0, -1.0)):
         assert DiagonalGroupElement(entries) != TracelessDiagonal(entries)
         assert TracelessDiagonal(entries) != DiagonalGroupElement(entries)
+
+
+# every size and dimension check of the module: call -> its exact message
+SIZE_RAISES = {
+    "multiply": (lambda: DiagonalGroupElement.identity(2).multiply(DiagonalGroupElement.identity(3)),
+                 "sizes differ: 2 vs 3"),
+    "add": (lambda: TracelessDiagonal.zero(2) + TracelessDiagonal.zero(3), "sizes differ: 2 vs 3"),
+    "bracket": (lambda: bracket(TracelessDiagonal.zero(2), TracelessDiagonal.zero(3)),
+                "sizes differ: 2 vs 3"),
+    "basis": (lambda: basis(1, 1), "need n >= 2"),
+    "structure_constants": (lambda: structure_constants(1), "need n >= 2"),
+    "dn1_new": (lambda: dn1_new(()), "need at least one leading entry"),
+}
+
+
+@pytest.mark.parametrize("site", SIZE_RAISES)
+def test_each_size_check_has_its_own_message(site):
+    call, message = SIZE_RAISES[site]
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        call()
 
 
 # constructors and the chart
@@ -740,10 +766,10 @@ def test_no_operation_goes_through_the_validating_constructor(monkeypatch, entri
     x = TracelessDiagonal(tuple(map(entries, (F(1, 2), -1, F(1, 2)))))
     y = TracelessDiagonal(tuple(map(entries, (3, -2, -1))))
 
-    def refuse(self):
+    def refuse(self, diag):
         raise AssertionError("a result went through the validating constructor")
 
-    monkeypatch.setattr(_Diagonal, "__post_init__", refuse)
+    monkeypatch.setattr(_Diagonal, "__init__", refuse)
     results = [a.multiply(b), a.inverse(), mu(a, b), x + y, x.scaled(entries(3)), -x]
     results += [lie_exp(x), lie_log(a), bracket(x, y)]
     assert [r.n for r in results] == [3] * len(results)

@@ -1,11 +1,14 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmsym import AffineSymmetry, DimensionMismatch, NotSquare, Permutation, RationalMatrix
-from bmsym import ScaledPerm, as_fraction, as_vector, classify_affine
+from bmsym import AffineSymmetry, DiagonalGroupElement, DimensionMismatch, NotSquare, Permutation
+from bmsym import RationalMatrix, ScaledPerm, TracelessDiagonal, as_fraction, as_vector
+from bmsym import classify_affine
 from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod
 from bmsym.matrix import _scaled_gather
 from helpers import NO_SHRINK, nonzero_rationals, scaled_perms, wide_nonzero_rationals
@@ -92,6 +95,12 @@ def test_matmul():
     assert RationalMatrix.identity(2) @ a == a
 
 
+@pytest.mark.parametrize("left, right", [(2, 3), (3, 2)])
+def test_matmul_of_different_sizes_names_both(left, right):
+    with pytest.raises(DimensionMismatch, match=f"^matrix sizes differ: {left} vs {right}$"):
+        RationalMatrix.identity(left) @ RationalMatrix.identity(right)
+
+
 def test_apply():
     a = RationalMatrix([[1, 2], [3, 4]])
     assert a.apply((Fraction(1), Fraction(1))) == (Fraction(3), Fraction(7))
@@ -119,6 +128,28 @@ def test_immutable():
     before = m.rows
     m.with_entry(1, 1, Fraction(5))
     assert m.rows == before
+
+
+# every immutable record type: a value, and the field that deletion must refuse
+RECORDS = {
+    "RationalMatrix": (RationalMatrix([[1, "1/2"], [0, -3]]), "rows"),
+    "DiagonalGroupElement": (DiagonalGroupElement((Fraction(2), Fraction(1, 2))), "diag"),
+    "TracelessDiagonal": (TracelessDiagonal((1.5, -1.5)), "diag"),
+    "Permutation": (Permutation((2, 3, 1)), "image"),
+    "ScaledPerm": (ScaledPerm(Permutation((2, 1)), (Fraction(-2), Fraction(-1, 2))), "scale"),
+    "AffineSymmetry": (AffineSymmetry(ScaledPerm.identity(2), (1, Fraction(1, 3))), "translation"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_copy_and_pickle_to_equal_values_and_refuse_deletion(name):
+    value, field = RECORDS[name]
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and copied == value
+        assert hash(copied) == hash(value)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    getattr(value, field)  # the field survived
 
 
 # scalar kernels: each returns what the Fraction operator it replaces returns
