@@ -22,68 +22,57 @@ permanent.  `permanent`, kept to re-check witnesses, expands along the row
 supports (O(n) on a monomial); the dimension cap (DEFAULT_MAX_N) is a
 policy limit.
 Verdicts are built unchecked: the decision proved distinct support columns
-and a unit scale product.
+and a unit scale product.  The verdict and witness records are
+``matrix._Record`` values that take their fields by position.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
 from .group import AffineSymmetry, Permutation, ScaledPerm
-from .matrix import ZERO, RationalMatrix, _prod, _sized_vector, _unchecked
+from .matrix import ZERO, RationalMatrix, _Record, _prod, _sized_vector, _unchecked
 
 
-@dataclass(frozen=True)
-class DegenerateTuple:
+class DegenerateTuple(_Record):
     """A repeated-index column tuple (1-based) whose entry product is nonzero."""
 
-    indices: tuple[int, ...]
-    product: Fraction
+    __slots__ = __match_args__ = ("indices", "product")
 
 
-@dataclass(frozen=True)
-class PermanentMismatch:
+class PermanentMismatch(_Record):
     """The permanent of the matrix, which differs from 1."""
 
-    value: Fraction
+    __slots__ = __match_args__ = ("value",)
 
 
 Witness = DegenerateTuple | PermanentMismatch
 
 
-@dataclass(frozen=True)
-class Symmetry:
+class Symmetry(_Record):
     """Positive verdict with the recovered scaled-permutation data."""
 
-    sigma: Permutation
-    scale: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("sigma", "scale")
 
     def element(self) -> ScaledPerm:
         return ScaledPerm(self.sigma, self.scale)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """Negative verdict carrying a re-checkable counterexample."""
 
-    witness: Witness
+    __slots__ = __match_args__ = ("witness",)
 
 
 InvarianceReport = Symmetry | Violation
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Record):
     """Counts from a randomized soundness/completeness run."""
 
-    n: int
-    trials: int
-    positives_passed: int
-    perturbed_rejected: int
-    seed: int
+    __slots__ = __match_args__ = ("n", "trials", "positives_passed", "perturbed_rejected", "seed")
 
     def all_passed(self) -> bool:
         return self.positives_passed == self.trials and self.perturbed_rejected == self.trials

@@ -16,6 +16,10 @@ inverse to 1 / 1, so validity follows by algebra.  Past the constructors every
 entry is an exact ``Fraction``, so each group-law and action method of a
 scaled permutation is one pass of a fused kernel of ``matrix`` (one gcd per
 entry, no intermediate vector).
+
+``AffineSymmetry`` stays a frozen dataclass, the package's last one:
+``perfbench/test_perfbench_checks.py::test_wrong_symmetry_data_is_counted_as_failed``
+builds a wrong one with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -26,25 +30,24 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, UnitProductViolation, ZeroScale
 from .matrix import ONE, ZERO, RationalMatrix, _affine_gather, _inverse_gather, _prod
-from .matrix import _scaled_gather, _sized_vector, _unchecked
+from .matrix import _Record, _scaled_gather, _sized_vector, _unchecked
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Record):
     """A bijection of {1..n}; ``image[i-1]`` is the value at ``i``."""
 
-    image: tuple[int, ...]
+    __slots__ = __match_args__ = ("image",)
 
-    def __post_init__(self) -> None:
-        image = tuple(self.image)
+    def __init__(self, image) -> None:
+        image = tuple(image)
         if not all(type(v) is int for v in image):
             raise TypeError(f"permutation entries must be integers, got {image!r}")
-        object.__setattr__(self, "image", image)
         n = len(image)
         if n == 0:
             raise ValueError("a permutation needs at least one point")
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {image}")
+        object.__setattr__(self, "image", image)
 
     @property
     def n(self) -> int:
@@ -99,21 +102,20 @@ class Permutation:
         return f"Permutation({list(self.image)})"
 
 
-@dataclass(frozen=True)
-class ScaledPerm:
+class ScaledPerm(_Record):
     """Monomial matrix with exact rational scales of product 1."""
 
-    sigma: Permutation
-    scale: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("sigma", "scale")
 
-    def __post_init__(self) -> None:
-        scale = _sized_vector(self.scale, self.sigma.n, "scale")
-        object.__setattr__(self, "scale", scale)
+    def __init__(self, sigma: Permutation, scale) -> None:
+        scale = _sized_vector(scale, sigma.n, "scale")
         if any(v == 0 for v in scale):
             raise ZeroScale("scale entries must be nonzero")
         product = _prod(scale)
         if product != 1:
             raise UnitProductViolation(f"scale product is {product}, expected 1")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def n(self) -> int:

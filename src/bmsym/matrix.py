@@ -7,9 +7,9 @@ checks only its new entry; in ``group`` the group law and ``to_dense``)
 build their results with ``_unchecked``, because validity follows by
 algebra.  Every stored entry is exactly a ``Fraction`` either way.
 
-``_Record`` is the immutable base of ``RationalMatrix`` and the Lie records.
-The group and classifier records stay frozen dataclasses: the benchmark's
-tests build a wrong ``AffineSymmetry`` with ``dataclasses.replace``.
+``_Record`` is the immutable base of every value record but one:
+``RationalMatrix``, the Lie records, ``Permutation``, ``ScaledPerm`` and the
+classifier's records.  ``group.AffineSymmetry`` stays a frozen dataclass.
 
 Kernels: ``_inv`` (reciprocal) and ``_prod`` (sequence product) do the
 scalar arithmetic of ``classify``, ``sampling`` and ``lie``.  ``apply`` is
@@ -89,9 +89,17 @@ class _Record:
     Equal to a value of the same type with equal fields, hashed by the field
     tuple, shown as ``Name(field=value, ...)``, and copied or pickled without
     re-running the constructor's checks, which the value already passed.
+    The default ``__init__`` takes the fields by position, unchecked.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

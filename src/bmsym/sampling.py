@@ -51,7 +51,6 @@ def random_scaled_perm(n: int, rng: random.Random, *, positive: bool = False) ->
     return _unchecked(ScaledPerm, sigma=sigma, scale=(*head, _inv(_prod(head))))
 
 
-def random_vector(n: int, rng: random.Random, *, positive: bool = False) -> tuple[Fraction, ...]:
+def random_vector(n: int, rng: random.Random) -> tuple[Fraction, ...]:
     """Nonzero entries, so product-form checks stay generic."""
-    draw = random_positive_rational if positive else random_nonzero_rational
-    return tuple(draw(rng) for _ in range(n))
+    return tuple(random_nonzero_rational(rng) for _ in range(n))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -6,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bmsym
 from bmsym import AffineSymmetry, DiagonalGroupElement, DimensionMismatch, NotSquare, Permutation
 from bmsym import RationalMatrix, ScaledPerm, TracelessDiagonal, as_fraction, as_vector
+from bmsym import DegenerateTuple, OracleReport, PermanentMismatch, Symmetry, Violation
 from bmsym import classify_affine
 from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod
 from bmsym.matrix import _scaled_gather
@@ -138,6 +141,11 @@ RECORDS = {
     "Permutation": (Permutation((2, 3, 1)), "image"),
     "ScaledPerm": (ScaledPerm(Permutation((2, 1)), (Fraction(-2), Fraction(-1, 2))), "scale"),
     "AffineSymmetry": (AffineSymmetry(ScaledPerm.identity(2), (1, Fraction(1, 3))), "translation"),
+    "DegenerateTuple": (DegenerateTuple((2, 2, 3), Fraction(1, 2)), "indices"),
+    "PermanentMismatch": (PermanentMismatch(Fraction(2)), "value"),
+    "Symmetry": (Symmetry(Permutation((2, 1)), (Fraction(-2), Fraction(-1, 2))), "scale"),
+    "Violation": (Violation(PermanentMismatch(Fraction(0))), "witness"),
+    "OracleReport": (OracleReport(3, 4, 4, 4, 7), "seed"),
 }
 
 
@@ -150,6 +158,84 @@ def test_records_copy_and_pickle_to_equal_values_and_refuse_deletion(name):
     with pytest.raises(AttributeError):
         delattr(value, field)
     getattr(value, field)  # the field survived
+
+
+# the records that were frozen dataclasses: constructor arguments and the
+# repr each showed as a dataclass
+HALF = Fraction(1, 2)
+SCALES = (Fraction(-2), -HALF)
+MOVED_RECORDS = [
+    (Permutation, ((2, 3, 1),), "Permutation([2, 3, 1])"),
+    (
+        ScaledPerm,
+        (Permutation((2, 1)), SCALES),
+        "ScaledPerm(sigma=Permutation([2, 1]), scale=(Fraction(-2, 1), Fraction(-1, 2)))",
+    ),
+    (
+        DegenerateTuple,
+        ((2, 2, 3), HALF),
+        "DegenerateTuple(indices=(2, 2, 3), product=Fraction(1, 2))",
+    ),
+    (PermanentMismatch, (Fraction(2),), "PermanentMismatch(value=Fraction(2, 1))"),
+    (
+        Symmetry,
+        (Permutation((2, 1)), SCALES),
+        "Symmetry(sigma=Permutation([2, 1]), scale=(Fraction(-2, 1), Fraction(-1, 2)))",
+    ),
+    (
+        Violation,
+        (DegenerateTuple((2, 2, 3), HALF),),
+        "Violation(witness=DegenerateTuple(indices=(2, 2, 3), product=Fraction(1, 2)))",
+    ),
+    (
+        OracleReport,
+        (3, 4, 4, 4, 7),
+        "OracleReport(n=3, trials=4, positives_passed=4, perturbed_rejected=4, seed=7)",
+    ),
+]
+
+
+def positional_fields(value):
+    """What a positional class pattern binds on ``value``."""
+    match value:
+        case Permutation(image):
+            return (image,)
+        case ScaledPerm(sigma, scale) | Symmetry(sigma, scale):
+            return sigma, scale
+        case DegenerateTuple(indices, product):
+            return indices, product
+        case PermanentMismatch(field) | Violation(field):
+            return (field,)
+        case OracleReport(n, trials, passed, rejected, seed):
+            return n, trials, passed, rejected, seed
+
+
+@pytest.mark.parametrize(
+    "cls, args, shown", MOVED_RECORDS, ids=[row[0].__name__ for row in MOVED_RECORDS]
+)
+def test_moved_records_keep_repr_and_match_and_refuse_assignment(cls, args, shown):
+    value = cls(*args)
+    assert repr(value) == shown
+    assert positional_fields(value) == args
+    for field in cls.__match_args__:
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+            setattr(value, field, None)
+    assert positional_fields(value) == args  # nothing changed
+
+
+def test_a_record_without_checks_takes_exactly_its_fields_by_position():
+    with pytest.raises(TypeError, match="^DegenerateTuple takes 2 fields, got 1$"):
+        DegenerateTuple((1, 1))
+    with pytest.raises(TypeError, match="^OracleReport takes 5 fields, got 6$"):
+        OracleReport(3, 4, 4, 4, 7, 0)
+    with pytest.raises(TypeError, match="keyword"):
+        PermanentMismatch(value=ZERO)
+
+
+def test_affine_symmetry_is_the_only_dataclass():
+    exported = [getattr(bmsym, name) for name in bmsym.__all__]
+    classes = [cls for cls in exported if isinstance(cls, type)]
+    assert {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)} == {"AffineSymmetry"}
 
 
 # scalar kernels: each returns what the Fraction operator it replaces returns
