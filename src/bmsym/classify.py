@@ -132,7 +132,7 @@ def _scan(matrix: RationalMatrix):
         entries.append(entry)
     if len(set(columns)) == len(columns):
         if wide is None:
-            return _unchecked(Permutation, image=tuple(columns)), tuple(entries)
+            return _unchecked(Permutation, tuple(columns)), tuple(entries)
         # The least columns are a permutation: moving any one row to a larger
         # support column makes them repeat, and moving the last gives the least.
         i, columns[i], entries[i] = wide
@@ -198,8 +198,7 @@ def classify_affine(
     found = _decide(matrix, max_n)
     if type(found) is Violation:
         return found
-    linear = _unchecked(ScaledPerm, sigma=found[0], scale=found[1])
-    return _unchecked(AffineSymmetry, linear=linear, translation=translation)
+    return _unchecked(AffineSymmetry, _unchecked(ScaledPerm, *found), translation)
 
 
 def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:

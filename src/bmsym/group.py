@@ -47,7 +47,7 @@ class Permutation(_Record):
             raise ValueError("a permutation needs at least one point")
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {image}")
-        object.__setattr__(self, "image", image)
+        super().__init__(image)
 
     @property
     def n(self) -> int:
@@ -66,7 +66,7 @@ class Permutation(_Record):
         """(self . other)(i) = self(other(i)): other acts first."""
         if self.n != other.n:
             raise DimensionMismatch(f"cannot compose on {self.n} and {other.n} points")
-        return _unchecked(Permutation, image=tuple(self.image[j - 1] for j in other.image))
+        return _unchecked(Permutation, tuple(self.image[j - 1] for j in other.image))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
@@ -77,7 +77,7 @@ class Permutation(_Record):
         inv = [0] * self.n
         for i, v in enumerate(self.image, start=1):
             inv[v - 1] = i
-        return _unchecked(Permutation, image=tuple(inv))
+        return _unchecked(Permutation, tuple(inv))
 
     def sign(self) -> int:
         """+1 for even, -1 for odd, via the cycle decomposition."""
@@ -114,8 +114,7 @@ class ScaledPerm(_Record):
         product = _prod(scale)
         if product != 1:
             raise UnitProductViolation(f"scale product is {product}, expected 1")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "scale", scale)
+        super().__init__(sigma, scale)
 
     @property
     def n(self) -> int:
@@ -133,7 +132,7 @@ class ScaledPerm(_Record):
         rows = tuple(
             zeros[: s - 1] + (a,) + zeros[s:] for a, s in zip(self.scale, self.sigma.image)
         )
-        return _unchecked(RationalMatrix, n=self.n, rows=rows)
+        return _unchecked(RationalMatrix, self.n, rows)
 
     def compose(self, other: "ScaledPerm") -> "ScaledPerm":
         """Group product; the dense form is to_dense(self) @ to_dense(other)."""
@@ -141,7 +140,7 @@ class ScaledPerm(_Record):
             raise DimensionMismatch(f"cannot compose sizes {self.n} and {other.n}")
         perm = other.sigma.compose(self.sigma)
         scale = _scaled_gather(self.scale, self.sigma.image, other.scale)
-        return _unchecked(ScaledPerm, sigma=perm, scale=scale)
+        return _unchecked(ScaledPerm, perm, scale)
 
     def __mul__(self, other: "ScaledPerm") -> "ScaledPerm":
         if not isinstance(other, ScaledPerm):
@@ -151,7 +150,7 @@ class ScaledPerm(_Record):
     def inverse(self) -> "ScaledPerm":
         inv = self.sigma.inverse()
         scale, _ = _inverse_gather(self.scale, inv.image)
-        return _unchecked(ScaledPerm, sigma=inv, scale=scale)
+        return _unchecked(ScaledPerm, inv, scale)
 
     def det(self) -> int:
         """The determinant collapses to the permutation sign: the scales multiply to 1."""
@@ -197,7 +196,7 @@ class AffineSymmetry:
         lin = self.linear
         linear = lin.compose(other.linear)  # the size check, before the gather indexes
         shift = _affine_gather(lin.scale, lin.sigma.image, other.translation, self.translation)
-        return _unchecked(AffineSymmetry, linear=linear, translation=shift)
+        return _unchecked(AffineSymmetry, linear, shift)
 
     def __mul__(self, other: "AffineSymmetry") -> "AffineSymmetry":
         if not isinstance(other, AffineSymmetry):
@@ -207,6 +206,6 @@ class AffineSymmetry:
     def inverse(self) -> "AffineSymmetry":
         inv = self.linear.sigma.inverse()
         scale, translation = _inverse_gather(self.linear.scale, inv.image, self.translation)
-        linear = _unchecked(ScaledPerm, sigma=inv, scale=scale)
-        return _unchecked(AffineSymmetry, linear=linear, translation=translation)
+        linear = _unchecked(ScaledPerm, inv, scale)
+        return _unchecked(AffineSymmetry, linear, translation)
 

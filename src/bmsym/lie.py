@@ -77,7 +77,7 @@ class _Diagonal(_Record):
         if len(diag) < 2:
             raise DimensionMismatch("need at least 2 diagonal entries")
         self._check(diag)
-        object.__setattr__(self, "diag", diag)
+        super().__init__(diag)
 
     @property
     def n(self) -> int:
@@ -149,7 +149,7 @@ class TracelessDiagonal(_Diagonal):
         return _traceless(tuple(a + b for a, b in zip(self.diag[:-1], other.diag[:-1])))
 
     def __neg__(self) -> "TracelessDiagonal":
-        return _unchecked(TracelessDiagonal, diag=tuple(-v for v in self.diag))
+        return _unchecked(TracelessDiagonal, tuple(-v for v in self.diag))
 
     def scaled(self, factor) -> "TracelessDiagonal":
         factor = _as_number(factor)
@@ -174,14 +174,14 @@ def _traceless(head: tuple) -> TracelessDiagonal:
     """``head`` completed by minus its trace, rounded once if a float (never -0.0)."""
     trace = _trace(head)
     if not any(isinstance(v, float) for v in head):
-        return _unchecked(TracelessDiagonal, diag=(*head, -trace))
+        return _unchecked(TracelessDiagonal, (*head, -trace))
     try:
         last = 0.0 - trace
     except OverflowError:  # an exact trace beyond the float range
         last = math.inf
     if not math.isfinite(last):
         raise TraceNotZero(f"chart {head!r} has no finite traceless completion")
-    return _unchecked(TracelessDiagonal, diag=(*head, last))
+    return _unchecked(TracelessDiagonal, (*head, last))
 
 
 def dn1_new(first) -> DiagonalGroupElement:
@@ -197,7 +197,7 @@ def dn1_new(first) -> DiagonalGroupElement:
     if any(v == 0 for v in entries):
         raise ZeroCoordinate("chart coordinates must be nonzero")
     if not any(isinstance(v, float) for v in entries):
-        return _unchecked(DiagonalGroupElement, diag=(*entries, _inv(_prod(entries))))
+        return _unchecked(DiagonalGroupElement, (*entries, _inv(_prod(entries))))
     if not all(isinstance(v, float) for v in entries):  # the constructor's check
         raise TypeError(f"entries must be all floats or all exact, got {entries!r}")
     if not all(map(math.isfinite, entries)):
@@ -209,7 +209,7 @@ def dn1_new(first) -> DiagonalGroupElement:
         raise UnitProductViolation("last entry is above the float range") from None
     if not (abs(last) >= sys.float_info.min or _near_unit_product((*entries, last))):
         raise UnitProductViolation("last entry is below the float range")
-    return _unchecked(DiagonalGroupElement, diag=(*entries, last))
+    return _unchecked(DiagonalGroupElement, (*entries, last))
 
 
 def chart(a: DiagonalGroupElement) -> tuple:
@@ -251,7 +251,7 @@ def basis(n: int, i: int) -> TracelessDiagonal:
         raise IndexError(f"basis index {i} outside 1..{n - 1}")
     diag = [ZERO] * n
     diag[i - 1], diag[-1] = ONE, -ONE
-    return _unchecked(TracelessDiagonal, diag=tuple(diag))
+    return _unchecked(TracelessDiagonal, tuple(diag))
 
 
 def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
@@ -260,7 +260,7 @@ def bracket(x: TracelessDiagonal, y: TracelessDiagonal) -> TracelessDiagonal:
     x_i y_i - y_i x_i is 0.0 too; the tests check the result against it."""
     if x.n != y.n:
         raise DimensionMismatch(f"sizes differ: {x.n} vs {y.n}")
-    return _unchecked(TracelessDiagonal, diag=(0.0,) * x.n)
+    return _unchecked(TracelessDiagonal, (0.0,) * x.n)
 
 
 def structure_constants(n: int) -> memoryview:

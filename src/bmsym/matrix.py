@@ -1,11 +1,12 @@
 """Dense square matrices and vectors over exact rationals, and the product form.
 
-Validation contract: constructors check and coerce everything they are
+Validation contract: ``Cls(...)`` checks and coerces everything it is
 given, and ``_sized_vector`` is the one length check on a caller's vector.
-Operations on already-valid values (here ``@`` and ``with_entry``, which
-checks only its new entry; in ``group`` the group law and ``to_dense``)
-build their results with ``_unchecked``, because validity follows by
-algebra.  Every stored entry is exactly a ``Fraction`` either way.
+``_unchecked(Cls, *fields)`` trusts its fields, in ``__match_args__`` order.
+It builds the results of operations on already-valid values (here ``@``
+and ``with_entry``, which checks only its new entry; in ``group`` the group
+law and ``to_dense``), valid by algebra, and every copy and pickle of a
+record.  Every stored entry is exactly a ``Fraction`` either way.
 
 ``_Record`` is the immutable base of every value record but one:
 ``RationalMatrix``, the Lie records, ``Permutation``, ``ScaledPerm`` and the
@@ -69,27 +70,23 @@ def _sized_vector(values: Iterable, n: int, what: str) -> tuple[Fraction, ...]:
     return vec
 
 
-def _unchecked(cls, **fields):
-    """``cls`` holding ``fields`` as given, unchecked: only for values valid by algebra."""
+def _unchecked(cls, *fields):
+    """``cls`` holding ``fields``, in ``__match_args__`` order, as given: the one
+    trusted builder, only for values already valid (by algebra, or as a copy)."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for name, value in zip(cls.__match_args__, fields):
         object.__setattr__(obj, name, value)
     return obj
-
-
-def _from_fields(cls, values: tuple):
-    """``cls`` holding ``values`` in ``__match_args__`` order, unchecked: the
-    copy and pickle path of ``_Record``."""
-    return _unchecked(cls, **dict(zip(cls.__match_args__, values)))
 
 
 class _Record:
     """An immutable value with slotted fields, named in ``__match_args__``.
 
     Equal to a value of the same type with equal fields, hashed by the field
-    tuple, shown as ``Name(field=value, ...)``, and copied or pickled without
-    re-running the constructor's checks, which the value already passed.
-    The default ``__init__`` takes the fields by position, unchecked.
+    tuple, shown as ``Name(field=value, ...)``, and copied or pickled through
+    ``_unchecked``, skipping the constructor's checks, which the value already
+    passed.  The default ``__init__`` takes the fields by position, unchecked;
+    a checked constructor ends in ``super().__init__(...)``.
     """
 
     __slots__ = ()
@@ -123,7 +120,7 @@ class _Record:
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):
-        return _from_fields, (type(self), self._fields())
+        return _unchecked, (type(self), *self._fields())
 
 
 def _fraction(numerator: int, denominator: int) -> Fraction:
@@ -290,8 +287,7 @@ class RationalMatrix(_Record):
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in data]}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", data)
+        super().__init__(n, data)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -309,7 +305,7 @@ class RationalMatrix(_Record):
         rows = list(self.rows)
         row = rows[i - 1]
         rows[i - 1] = row[: j - 1] + (as_fraction(value),) + row[j:]
-        return _unchecked(RationalMatrix, n=self.n, rows=tuple(rows))
+        return _unchecked(RationalMatrix, self.n, tuple(rows))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
@@ -334,7 +330,7 @@ class RationalMatrix(_Record):
                     g = gcd(t, dens[j])
                     acc[j] = _fraction(t // g, dens[j] // g)
             out.append(tuple(acc))
-        return _unchecked(RationalMatrix, n=n, rows=tuple(out))
+        return _unchecked(RationalMatrix, n, tuple(out))
 
     def apply(self, vector: Sequence) -> tuple[Fraction, ...]:
         vec = _sized_vector(vector, self.n, "vector")

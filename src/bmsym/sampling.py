@@ -41,14 +41,14 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
         raise ValueError("a permutation needs at least one point")
     image = list(range(1, n + 1))
     rng.shuffle(image)
-    return _unchecked(Permutation, image=tuple(image))
+    return _unchecked(Permutation, tuple(image))
 
 
 def random_scaled_perm(n: int, rng: random.Random, *, positive: bool = False) -> ScaledPerm:
     draw = random_positive_rational if positive else random_nonzero_rational
     head = [draw(rng) for _ in range(n - 1)]
     sigma = random_permutation(n, rng)
-    return _unchecked(ScaledPerm, sigma=sigma, scale=(*head, _inv(_prod(head))))
+    return _unchecked(ScaledPerm, sigma, (*head, _inv(_prod(head))))
 
 
 def random_vector(n: int, rng: random.Random) -> tuple[Fraction, ...]:

@@ -159,7 +159,7 @@ def matrix_from_obj(obj) -> RationalMatrix:
     rows = tuple(
         vector_from_obj(row, "matrix row", n) for row in _require_list(obj.get("rows"), '"rows"', n)
     )
-    return _unchecked(RationalMatrix, n=n, rows=rows)
+    return _unchecked(RationalMatrix, n, rows)
 
 
 def vector_to_obj(vector) -> list:

@@ -319,12 +319,12 @@ def chained_scaled_compose(p, q):
     if p.n != q.n:
         raise DimensionMismatch(f"cannot compose sizes {p.n} and {q.n}")
     scale = cross_cancel_gather(p.scale, p.sigma.image, q.scale)
-    return _unchecked(ScaledPerm, sigma=q.sigma.compose(p.sigma), scale=scale)
+    return _unchecked(ScaledPerm, q.sigma.compose(p.sigma), scale)
 
 
 def chained_scaled_inverse(p):
     inv = p.sigma.inverse()
-    return _unchecked(ScaledPerm, sigma=inv, scale=tuple(_inv(p.scale[j - 1]) for j in inv.image))
+    return _unchecked(ScaledPerm, inv, tuple(_inv(p.scale[j - 1]) for j in inv.image))
 
 
 def chained_affine_apply(s, x):
@@ -334,13 +334,13 @@ def chained_affine_apply(s, x):
 def chained_affine_compose(s, t):
     linear = chained_scaled_compose(s.linear, t.linear)
     translation = vec_add(_act(s.linear, t.translation), s.translation)
-    return _unchecked(AffineSymmetry, linear=linear, translation=translation)
+    return _unchecked(AffineSymmetry, linear, translation)
 
 
 def chained_affine_inverse(s):
     linear = chained_scaled_inverse(s.linear)
     translation = vec_neg(_act(linear, s.translation))
-    return _unchecked(AffineSymmetry, linear=linear, translation=translation)
+    return _unchecked(AffineSymmetry, linear, translation)
 
 
 # The Lie operations entry by entry, each result re-checked by its validating

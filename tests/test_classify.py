@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -569,3 +570,45 @@ def test_oracle_verdicts_match_the_product_form_at_random_points(n):
         for m in (dense, _inject_off_pattern(element, dense, trial, random_nonzero_rational)):
             verdict = isinstance(invariance_system_check(m, max_n=n), Symmetry)
             assert verdict == product_form_agrees_at_points(m, rng), (index, m)
+
+
+
+def _filled_patterns(n, rng):
+    """Every one of the 2^(n^2) support patterns at n, each filled with seeded
+    nonzero values."""
+    for mask in range(2 ** (n * n)):
+        yield RationalMatrix([
+            [random_nonzero_rational(rng) if mask >> (i * n + j) & 1 else F(0) for j in range(n)]
+            for i in range(n)
+        ])
+
+
+def _filled_permutation_patterns(n, rng):
+    """Each permutation pattern at n, filled once with scale product 1 and once
+    with scale product 2, with whether the product is 1."""
+    for image in itertools.permutations(range(n)):
+        head = [random_nonzero_rational(rng) for _ in range(n - 1)]
+        for product in (1, 2):
+            scale = (*head, product / math.prod(head, start=F(1)))
+            rows = [[scale[i] if j == image[i] else F(0) for j in range(n)] for i in range(n)]
+            yield RationalMatrix(rows), product == 1
+
+
+# every support pattern at n = 2 and 3 (16 and 512); the 65,536 at n = 4 are not run
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_every_support_pattern_matches_the_definition(n):
+    rng = random.Random(f"patterns:{n}")
+    cases = [(m, None) for m in _filled_patterns(n, rng)] if n <= 3 else []
+    cases += _filled_permutation_patterns(n, rng)
+    assert len(cases) == {2: 16 + 4, 3: 512 + 12, 4: 48}[n]
+    for m, unit in cases:
+        report = invariance_system_check(m)
+        assert isinstance(report, Symmetry) == product_form_agrees_at_points(m, rng), m
+        if unit is not None:  # a permutation pattern: its scale product decides
+            assert isinstance(report, Symmetry) == unit, m
+        if type(report) is Symmetry:
+            assert brute_force_degenerate(m) is None and enumerated_permanent(m) == 1, m
+        elif type(report.witness) is DegenerateTuple:
+            assert report.witness == brute_force_degenerate(m), m
+        else:
+            assert report.witness.value == enumerated_permanent(m), m

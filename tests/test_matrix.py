@@ -12,7 +12,7 @@ from bmsym import AffineSymmetry, DiagonalGroupElement, DimensionMismatch, NotSq
 from bmsym import RationalMatrix, ScaledPerm, TracelessDiagonal, as_fraction, as_vector
 from bmsym import DegenerateTuple, OracleReport, PermanentMismatch, Symmetry, Violation
 from bmsym import classify_affine
-from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod
+from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod, _unchecked
 from bmsym.matrix import _scaled_gather
 from helpers import NO_SHRINK, nonzero_rationals, scaled_perms, wide_nonzero_rationals
 from oracles import cofactor_det, diagonal, is_diagonal, operator_apply, operator_matmul
@@ -158,6 +158,25 @@ def test_records_copy_and_pickle_to_equal_values_and_refuse_deletion(name):
     with pytest.raises(AttributeError):
         delattr(value, field)
     getattr(value, field)  # the field survived
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_unchecked_is_the_one_trusted_builder_and_copies_skip_the_checks(name, monkeypatch):
+    value, _ = RECORDS[name]
+    cls = type(value)
+    fields = [getattr(value, field) for field in cls.__match_args__]
+    built = _unchecked(cls, *fields)
+    assert type(built) is cls and built == value
+
+    def recheck(*args, **kwargs):
+        raise AssertionError(f"{name} was checked again")
+
+    checked = "__post_init__" if dataclasses.is_dataclass(cls) else "__init__"
+    monkeypatch.setattr(cls, checked, recheck)
+    with pytest.raises(AssertionError, match="checked again"):
+        cls(*fields)  # the patch is in force
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value
 
 
 # the records that were frozen dataclasses: constructor arguments and the
