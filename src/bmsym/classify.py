@@ -18,9 +18,13 @@ its row is zero) has product 0, so the first degenerate tuple in
 lexicographic order is built greedily over the supports, which by
 pigeonhole has a closed form.  Without one, J has a zero row (permanent 0)
 or is monomial (permanent = scale product), so the verdict needs no
-permanent.  `permanent`, kept to re-check witnesses, expands along the row
-supports (O(n) on a monomial); the dimension cap (DEFAULT_MAX_N) is a
-policy limit.
+permanent.  `witness_violates` re-checks a permanent witness with the same
+scan, which reads that permanent off a zero row or a monomial, the only
+matrices the classifier issues one for; on any other matrix it falls back
+to `permanent`, which expands along the row supports.  The dimension cap
+(DEFAULT_MAX_N) is a policy limit, checked first either way.
+`theorem_oracle` compares `_decide`'s (sigma, scales) with the sampled
+element's directly, so a trial builds no verdict record it would discard.
 Verdicts are built unchecked: the decision proved distinct support columns
 and a unit scale product.  The verdict and witness records are
 ``matrix._Record`` values that take their fields by position.
@@ -216,6 +220,19 @@ def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:
     return type(found) is tuple and found[0].image == sigma.inverse().image and _prod(found[1]) == 1
 
 
+def _scanned_permanent(matrix: RationalMatrix, max_n: int) -> Fraction:
+    """The permanent, read off `_scan` for a zero row (0) or a monomial (the
+    scale product), which are the matrices the classifier issues a
+    PermanentMismatch for; expanded by `permanent` for any other."""
+    _check_cap(matrix.n, max_n)
+    found = _scan(matrix)
+    if type(found) is tuple:
+        return _prod(found[1])
+    if type(found) is PermanentMismatch:
+        return found.value
+    return permanent(matrix, max_n=max_n)
+
+
 def witness_violates(
     matrix: RationalMatrix, witness: Witness, *, max_n: int = DEFAULT_MAX_N
 ) -> bool:
@@ -229,7 +246,7 @@ def witness_violates(
         product = _prod(matrix.rows[i][k - 1] for i, k in enumerate(indices))
         return product != 0 and product == witness.product
     if isinstance(witness, PermanentMismatch):
-        return witness.value != 1 and permanent(matrix, max_n=max_n) == witness.value
+        return witness.value != 1 and _scanned_permanent(matrix, max_n) == witness.value
     raise TypeError(f"unknown witness type: {witness!r}")
 
 
@@ -265,12 +282,9 @@ def theorem_oracle(
         rng = trial_rng(seed, index)
         element = random_scaled_perm(n, rng)
         dense = element.to_dense()
-        report = invariance_system_check(dense, max_n=max_n)
-        positives_passed += report == Symmetry(element.sigma, element.scale)
+        positives_passed += _decide(dense, max_n) == (element.sigma, element.scale)
         perturbed = _inject_off_pattern(element, dense, rng, random_nonzero_rational)
-        perturbed_report = invariance_system_check(perturbed, max_n=max_n)
-        if isinstance(perturbed_report, Violation) and witness_violates(
-            perturbed, perturbed_report.witness, max_n=max_n
-        ):
+        found = _decide(perturbed, max_n)
+        if type(found) is Violation and witness_violates(perturbed, found.witness, max_n=max_n):
             perturbed_rejected += 1
     return OracleReport(n, trials, positives_passed, perturbed_rejected, seed)

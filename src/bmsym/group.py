@@ -19,7 +19,8 @@ entry, no intermediate vector).
 
 ``AffineSymmetry`` stays a frozen dataclass, the package's last one:
 ``perfbench/test_perfbench_checks.py::test_wrong_symmetry_data_is_counted_as_failed``
-builds a wrong one with ``dataclasses.replace``.
+builds a wrong one with ``dataclasses.replace``.  It is given the generated
+store (``matrix._store_for``) that ``_unchecked`` calls, as a ``_Record`` gets.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, UnitProductViolation, ZeroScale
 from .matrix import ONE, ZERO, RationalMatrix, _affine_gather, _inverse_gather, _prod
-from .matrix import _Record, _scaled_gather, _sized_vector, _unchecked
+from .matrix import _Record, _scaled_gather, _sized_vector, _store_for, _unchecked
 
 
 class Permutation(_Record):
@@ -47,7 +48,7 @@ class Permutation(_Record):
             raise ValueError("a permutation needs at least one point")
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {image}")
-        super().__init__(image)
+        self._store(image)
 
     @property
     def n(self) -> int:
@@ -114,7 +115,7 @@ class ScaledPerm(_Record):
         product = _prod(scale)
         if product != 1:
             raise UnitProductViolation(f"scale product is {product}, expected 1")
-        super().__init__(sigma, scale)
+        self._store(sigma, scale)
 
     @property
     def n(self) -> int:
@@ -128,11 +129,13 @@ class ScaledPerm(_Record):
         return self.sigma.is_identity() and all(v == 1 for v in self.scale)
 
     def to_dense(self) -> RationalMatrix:
-        zeros = (ZERO,) * self.n
-        rows = tuple(
-            zeros[: s - 1] + (a,) + zeros[s:] for a, s in zip(self.scale, self.sigma.image)
-        )
-        return _unchecked(RationalMatrix, self.n, rows)
+        n = len(self.scale)
+        row, rows = [ZERO] * n, []
+        for a, s in zip(self.scale, self.sigma.image):
+            row[s - 1] = a  # one row buffer, set and cleared around each copy
+            rows.append(tuple(row))
+            row[s - 1] = ZERO
+        return _unchecked(RationalMatrix, n, tuple(rows))
 
     def compose(self, other: "ScaledPerm") -> "ScaledPerm":
         """Group product; the dense form is to_dense(self) @ to_dense(other)."""
@@ -209,3 +212,5 @@ class AffineSymmetry:
         linear = _unchecked(ScaledPerm, inv, scale)
         return _unchecked(AffineSymmetry, linear, translation)
 
+
+AffineSymmetry._store = _store_for(AffineSymmetry)  # what _unchecked calls

@@ -77,7 +77,7 @@ class _Diagonal(_Record):
         if len(diag) < 2:
             raise DimensionMismatch("need at least 2 diagonal entries")
         self._check(diag)
-        super().__init__(diag)
+        self._store(diag)
 
     @property
     def n(self) -> int:

@@ -6,11 +6,15 @@ given, and ``_sized_vector`` is the one length check on a caller's vector.
 It builds the results of operations on already-valid values (here ``@``
 and ``with_entry``, which checks only its new entry; in ``group`` the group
 law and ``to_dense``), valid by algebra, and every copy and pickle of a
-record.  Every stored entry is exactly a ``Fraction`` either way.
+record.  Every stored entry is exactly a ``Fraction`` either way.  Both
+paths end in the class's one store, ``_store``, generated from
+``__match_args__`` (``_store_for``), so a record costs what a hand-written
+``__init__`` would.
 
 ``_Record`` is the immutable base of every value record but one:
 ``RationalMatrix``, the Lie records, ``Permutation``, ``ScaledPerm`` and the
-classifier's records.  ``group.AffineSymmetry`` stays a frozen dataclass.
+classifier's records.  ``group.AffineSymmetry`` stays a frozen dataclass,
+given a ``_store`` of its own for ``_unchecked``.
 
 Kernels: ``_inv`` (reciprocal) and ``_prod`` (sequence product) do the
 scalar arithmetic of ``classify``, ``sampling`` and ``lie``.  ``apply`` is
@@ -38,13 +42,15 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import attrgetter, mul
+from types import MemberDescriptorType
 
 from .errors import DimensionMismatch, NegativeRadicand, NotSquare
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 Vec = Sequence[Fraction]
+_new = object.__new__
 
 
 def as_fraction(value) -> Fraction:
@@ -73,10 +79,50 @@ def _sized_vector(values: Iterable, n: int, what: str) -> tuple[Fraction, ...]:
 def _unchecked(cls, *fields):
     """``cls`` holding ``fields``, in ``__match_args__`` order, as given: the one
     trusted builder, only for values already valid (by algebra, or as a copy)."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, fields):
-        object.__setattr__(obj, name, value)
+    obj = _new(cls)
+    cls._store(obj, *fields)
     return obj
+
+
+_STORE_CODE = {}  # a store's source -> its compiled code
+
+
+def _store_for(cls):
+    """``_store(obj, *fields)``: sets ``cls``'s fields on ``obj``, in
+    ``__match_args__`` order, past ``__setattr__``, and raises ``TypeError``
+    unless there is one value per field.
+
+    Generated from source, as ``dataclasses`` builds an ``__init__``, so that
+    it runs as fast as a hand-written store: one unpacking, then one setter
+    per field, the slot's own descriptor (``object.__setattr__`` for a field
+    without a slot, as in the dataclass ``AffineSymmetry``).  Classes with
+    the same number and kind of fields share one compiled code object.
+    """
+    names = cls.__match_args__
+    env, sets = {"_set": object.__setattr__}, ""
+    for i, name in enumerate(names):
+        slot = getattr(cls, name, None)
+        if type(slot) is MemberDescriptorType:
+            env[f"_set{i}"] = slot.__set__
+            sets += f"    _set{i}(self, f{i})\n"
+        else:
+            sets += f"    _set(self, {name!r}, f{i})\n"
+    targets = "".join(f"f{i}, " for i in range(len(names)))
+    message = f"{{type(self).__name__}} takes {len(names)} fields, got {{len(fields)}}"
+    source = (
+        "def _store(self, *fields):\n"
+        "    try:\n"
+        f"        {targets}= fields\n"
+        "    except ValueError:\n"
+        f"        raise TypeError(f{message!r}) from None\n" + sets
+    )
+    code = _STORE_CODE.get(source)
+    if code is None:  # compiling costs far more than running the def
+        code = _STORE_CODE[source] = compile(source, "<record store>", "exec")
+    exec(code, env)
+    store = env["_store"]
+    store.__qualname__ = f"{cls.__qualname__}._store"
+    return store
 
 
 class _Record:
@@ -85,21 +131,24 @@ class _Record:
     Equal to a value of the same type with equal fields, hashed by the field
     tuple, shown as ``Name(field=value, ...)``, and copied or pickled through
     ``_unchecked``, skipping the constructor's checks, which the value already
-    passed.  The default ``__init__`` takes the fields by position, unchecked;
-    a checked constructor ends in ``super().__init__(...)``.
+    passed.  Each class that names its fields gets one generated ``_store``
+    (``_store_for``) and a function ``_fields(value)`` that reads the field
+    tuple with one ``attrgetter``.  ``_store`` is the default ``__init__``,
+    which takes the fields by position, unchecked; a checked constructor ends
+    in ``self._store(...)``.
     """
 
     __slots__ = ()
 
-    def __init__(self, *values) -> None:
-        names = self.__match_args__
-        if len(values) != len(names):
-            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(values)}")
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
+    def __init_subclass__(cls) -> None:
+        if "__match_args__" not in cls.__dict__:
+            return  # a subclass that adds no field shares its base's
+        cls._store = _store_for(cls)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = cls._store
+        get = attrgetter(*cls.__match_args__)
+        # attrgetter returns a lone field bare, not in a tuple
+        cls._fields = staticmethod(get if len(cls.__match_args__) > 1 else lambda v: (get(v),))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -109,18 +158,18 @@ class _Record:
 
     def __eq__(self, other):
         if type(other) is type(self):
-            return self._fields() == other._fields()
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):
-        return _unchecked, (type(self), *self._fields())
+        return _unchecked, (type(self), *self._fields(self))
 
 
 def _fraction(numerator: int, denominator: int) -> Fraction:
@@ -287,7 +336,7 @@ class RationalMatrix(_Record):
         n = len(data)
         if n == 0 or any(len(row) != n for row in data):
             raise NotSquare(f"expected a square matrix, got row lengths {[len(r) for r in data]}")
-        super().__init__(n, data)
+        self._store(n, data)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":

@@ -29,6 +29,7 @@ from bmsym import (
     theorem_oracle,
     witness_violates,
 )
+import bmsym.classify as classify_module
 from bmsym.classify import _inject_off_pattern
 from bmsym.sampling import (
     random_nonzero_rational,
@@ -41,6 +42,8 @@ from helpers import nonzero_rationals, permutations, scaled_perms
 from oracles import (
     brute_force_degenerate,
     cofactor_det,
+    constructed_off_pattern,
+    constructed_random_scaled_perm,
     dense_membership,
     enumerated_check,
     enumerated_permanent,
@@ -612,3 +615,119 @@ def test_every_support_pattern_matches_the_definition(n):
             assert report.witness == brute_force_degenerate(m), m
         else:
             assert report.witness.value == enumerated_permanent(m), m
+
+
+# the permanent witness is re-checked off the row scan for a zero row or a
+# monomial, the two shapes the classifier issues it for, and expanded otherwise
+
+
+def witness_shapes(n, rng):
+    """(shape, matrix, whether witness_violates may expand its permanent)."""
+    unit = random_scaled_perm(n, rng)
+    zero_row = [list(row) for row in unit.to_dense().rows]
+    zero_row[rng.randrange(n)] = [0] * n
+    doubled = unit.to_dense().with_entry(1, unit.sigma(1), 2 * unit.scale[0])
+    small = [F(k) for k in (-3, -2, -1, 1, 2, 3)] + [F(1, 2), F(-2, 3)]
+    dense = RationalMatrix([[rng.choice(small) for _ in range(n)] for _ in range(n)])
+    off = _inject_off_pattern(unit, unit.to_dense(), rng, random_nonzero_rational)
+    return [
+        ("zero_row", RationalMatrix(zero_row), False),
+        ("unit_monomial", unit.to_dense(), False),
+        ("monomial", doubled, False),
+        ("dense", dense, True),
+        ("off_pattern", off, True),
+    ]
+
+
+def _no_expansion(*args, **kwargs):
+    raise AssertionError("the permanent was expanded")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_permanent_witness_recheck_agrees_with_the_expanded_permanent(n, monkeypatch):
+    rng = random.Random(f"witness-recheck:{n}")
+    for shape, matrix, expands in witness_shapes(n, rng) + witness_shapes(n, rng):
+        value = permanent(matrix)
+        assert value == enumerated_permanent(matrix), shape
+        if not expands:  # read off the scan: the expansion must not run
+            monkeypatch.setattr(classify_module, "permanent", _no_expansion)
+        for claimed in (value, value + 1, value - F(1, 2), F(1), F(0)):
+            got = witness_violates(matrix, PermanentMismatch(claimed))
+            assert got is (claimed != 1 and claimed == value), (shape, claimed)
+        monkeypatch.undo()
+
+
+def test_permanent_witness_recheck_keeps_the_dimension_cap():
+    rng = random.Random("witness-recheck:9")
+    for shape, matrix, _ in witness_shapes(9, rng):
+        with pytest.raises(DimensionCapExceeded, match="^dimension 9 exceeds the dimension cap 8$"):
+            witness_violates(matrix, PermanentMismatch(F(2)))
+        value = permanent(matrix, max_n=9)
+        assert witness_violates(matrix, PermanentMismatch(value), max_n=9) is (value != 1), shape
+        # a witness of 1 is refused before the size is looked at, as ever
+        assert witness_violates(matrix, PermanentMismatch(F(1))) is False
+
+
+# the oracle judges the classifier: a wrong decision must lower its counts
+
+
+def test_oracle_counts_a_wrong_permutation_as_a_failed_positive(monkeypatch):
+    scan = classify_module._scan
+
+    def wrong_sigma(matrix):
+        found = scan(matrix)
+        if type(found) is tuple:  # a monomial: swap two points of sigma
+            image = found[0].image
+            return Permutation((image[1], image[0], *image[2:])), found[1]
+        return found
+
+    monkeypatch.setattr(classify_module, "_scan", wrong_sigma)
+    report = theorem_oracle(4, 20, seed=5)
+    assert (report.positives_passed, report.perturbed_rejected) == (0, 20)
+
+
+def test_oracle_counts_an_accepted_perturbation_as_a_failed_rejection(monkeypatch):
+    scan = classify_module._scan
+
+    def accept_all(matrix):
+        found = scan(matrix)
+        if type(found) is tuple:
+            return found
+        return Permutation.identity(matrix.n), (F(1),) * matrix.n  # a unit-product monomial
+
+    monkeypatch.setattr(classify_module, "_scan", accept_all)
+    report = theorem_oracle(4, 20, seed=5)
+    assert (report.positives_passed, report.perturbed_rejected) == (20, 0)
+
+
+def test_oracle_counts_a_witness_that_does_not_recheck_as_a_failed_rejection(monkeypatch):
+    scan = classify_module._scan
+
+    def wrong_product(matrix):
+        found = scan(matrix)
+        if type(found) is DegenerateTuple:
+            return DegenerateTuple(found.indices, found.product + 1)
+        return found
+
+    monkeypatch.setattr(classify_module, "_scan", wrong_product)
+    report = theorem_oracle(4, 20, seed=5)
+    assert (report.positives_passed, report.perturbed_rejected) == (20, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_oracle_judges_exactly_the_constructed_matrices(n, monkeypatch):
+    judged, decide = [], classify_module._decide
+
+    def spy(matrix, max_n):
+        judged.append(matrix)
+        return decide(matrix, max_n)
+
+    monkeypatch.setattr(classify_module, "_decide", spy)
+    seed, trials = 11, 6
+    assert theorem_oracle(n, trials, seed).all_passed()
+    expected = []
+    for index in range(trials):
+        rng = trial_rng(seed, index)
+        element = constructed_random_scaled_perm(n, rng)
+        expected += [element.to_dense(), constructed_off_pattern(element, rng)]
+    assert judged == expected

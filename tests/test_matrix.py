@@ -12,6 +12,7 @@ from bmsym import AffineSymmetry, DiagonalGroupElement, DimensionMismatch, NotSq
 from bmsym import RationalMatrix, ScaledPerm, TracelessDiagonal, as_fraction, as_vector
 from bmsym import DegenerateTuple, OracleReport, PermanentMismatch, Symmetry, Violation
 from bmsym import classify_affine
+from bmsym.errors import TraceNotZero, UnitProductViolation
 from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod, _unchecked
 from bmsym.matrix import _scaled_gather
 from helpers import NO_SHRINK, nonzero_rationals, scaled_perms, wide_nonzero_rationals
@@ -255,6 +256,71 @@ def test_affine_symmetry_is_the_only_dataclass():
     exported = [getattr(bmsym, name) for name in bmsym.__all__]
     classes = [cls for cls in exported if isinstance(cls, type)]
     assert {cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)} == {"AffineSymmetry"}
+
+
+# every record type in RECORDS: its constructor's arguments, its repr, and
+# for a checked constructor one bad input with the error it raises (None for
+# the classifier records, whose default __init__ stores its fields as given)
+SIGMA = Permutation((2, 1))
+TABLE = {
+    "RationalMatrix": (
+        ([[1, "1/2"], [0, -3]],), "RationalMatrix[1 1/2; 0 -3]", (([[1, 2]],), NotSquare)
+    ),
+    "DiagonalGroupElement": (
+        ((Fraction(2), Fraction(1, 2)),),
+        "DiagonalGroupElement(diag=(Fraction(2, 1), Fraction(1, 2)))",
+        (((2, 2),), UnitProductViolation),
+    ),
+    "TracelessDiagonal": (
+        ((1.5, -1.5),), "TracelessDiagonal(diag=(1.5, -1.5))", (((1.5, 1.5),), TraceNotZero)
+    ),
+    "Permutation": (((2, 3, 1),), "Permutation([2, 3, 1])", (((1, 1),), ValueError)),
+    "ScaledPerm": (
+        (SIGMA, SCALES),
+        "ScaledPerm(sigma=Permutation([2, 1]), scale=(Fraction(-2, 1), Fraction(-1, 2)))",
+        ((SIGMA, (2, 2)), UnitProductViolation),
+    ),
+    "AffineSymmetry": (
+        (ScaledPerm(SIGMA, SCALES), (1, HALF)),
+        "AffineSymmetry(linear=ScaledPerm(sigma=Permutation([2, 1]), scale=(Fraction(-2, 1),"
+        " Fraction(-1, 2))), translation=(Fraction(1, 1), Fraction(1, 2)))",
+        ((ScaledPerm(SIGMA, SCALES), (1,)), DimensionMismatch),
+    ),
+    **{
+        cls.__name__: (args, shown, None)
+        for cls, args, shown in MOVED_RECORDS
+        if cls.__module__ == "bmsym.classify"
+    },
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_record_builds_compares_hashes_shows_copies_and_pickles_as_pinned(name):
+    args, shown, bad = TABLE[name]
+    cls = type(RECORDS[name][0])
+    value = cls(*args)
+    fields = tuple(getattr(value, field) for field in cls.__match_args__)
+    rebuilt = [_unchecked(cls, *fields), copy.copy(value), copy.deepcopy(value)]
+    rebuilt.append(pickle.loads(pickle.dumps(value)))
+    if bad is None:  # the default __init__ stores the fields by position
+        assert fields == args
+        rebuilt.append(cls(*fields))
+    else:
+        bad_args, error = bad
+        with pytest.raises(error):
+            cls(*bad_args)
+    for other in [value, *rebuilt]:
+        assert type(other) is cls and repr(other) == shown
+        assert other == value and not other != value
+        assert hash(other) == hash(value) == hash(fields)
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    assert value != object()
+
+
+def test_records_with_equal_fields_but_different_types_differ():
+    symmetry, element = Symmetry(SIGMA, SCALES), ScaledPerm(SIGMA, SCALES)
+    assert symmetry != element and element != symmetry
+    assert hash(symmetry) == hash(element)  # the hash is the field tuple's
 
 
 # scalar kernels: each returns what the Fraction operator it replaces returns
