@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "affine": "AffineSymmetry",
         "classify": (
             "DegenerateTuple OracleReport PermanentMismatch Symmetry Violation"
             " classify_affine degenerate_products_zero extract_pattern"
@@ -27,7 +28,7 @@ _EXPORTS = {
             " NegativeRadicand NotIdentityComponent NotMonomial NotSquare"
             " TraceNotZero UnitProductViolation ZeroCoordinate ZeroScale"
         ),
-        "group": "AffineSymmetry Permutation ScaledPerm",
+        "group": "Permutation ScaledPerm",
         "lie": (
             "DiagonalGroupElement TracelessDiagonal as_scaled_perm basis bracket"
             " chart component_signature dn1_new lie_exp lie_log mu structure_constants"

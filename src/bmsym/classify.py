@@ -24,10 +24,15 @@ matrices the classifier issues one for; on any other matrix it falls back
 to `permanent`, which expands along the row supports.  The dimension cap
 (DEFAULT_MAX_N) is a policy limit, checked first either way.
 `theorem_oracle` compares `_decide`'s (sigma, scales) with the sampled
-element's directly, so a trial builds no verdict record it would discard.
+element's fields directly, so a trial builds no verdict record it would
+discard, and splices its off-pattern entry into one row of the element's
+dense form, unchecked.
 Verdicts are built unchecked: the decision proved distinct support columns
 and a unit scale product.  The verdict and witness records are
 ``matrix._Record`` values that take their fields by position.
+``classify_affine`` imports ``affine`` (and with it ``dataclasses``) on its
+first symmetry verdict and keeps the class in a module global, so the CLI's
+classifier calls, which build no ``AffineSymmetry``, never load it.
 """
 
 from __future__ import annotations
@@ -36,8 +41,12 @@ import math
 from fractions import Fraction
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
-from .group import AffineSymmetry, Permutation, ScaledPerm
+from .group import Permutation, ScaledPerm
 from .matrix import ZERO, RationalMatrix, _Record, _prod, _sized_vector, _unchecked
+
+TYPE_CHECKING = False  # true to a type checker; the run time imports no typing
+if TYPE_CHECKING:
+    from .affine import AffineSymmetry
 
 
 class DegenerateTuple(_Record):
@@ -194,15 +203,21 @@ def invariance_system_check(
     return found if type(found) is Violation else Symmetry(*found)
 
 
+_AffineSymmetry = None  # affine.AffineSymmetry, once classify_affine has returned one
+
+
 def classify_affine(
     matrix: RationalMatrix, translation, *, max_n: int = DEFAULT_MAX_N
 ) -> AffineSymmetry | Violation:
     """Classify x -> J x + t; the translation is unconstrained."""
+    global _AffineSymmetry
     translation = _sized_vector(translation, matrix.n, "translation")
     found = _decide(matrix, max_n)
     if type(found) is Violation:
         return found
-    return _unchecked(AffineSymmetry, _unchecked(ScaledPerm, *found), translation)
+    if _AffineSymmetry is None:  # the first symmetry loads affine, and dataclasses with it
+        from .affine import AffineSymmetry as _AffineSymmetry
+    return _unchecked(_AffineSymmetry, _unchecked(ScaledPerm, *found), translation)
 
 
 def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:
@@ -253,10 +268,12 @@ def witness_violates(
 def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng, draw) -> RationalMatrix:
     """``dense``, element's dense form, plus one nonzero entry ``draw(rng)`` off its pattern."""
     n = element.n
-    row = rng.randrange(n) + 1
-    on_column = element.sigma.image[row - 1]
-    column = rng.choice([j for j in range(1, n + 1) if j != on_column])
-    return dense.with_entry(row, column, draw(rng))
+    i = rng.randrange(n)
+    on_column = element.sigma.image[i]
+    j = rng.choice([j for j in range(1, n + 1) if j != on_column]) - 1
+    rows = list(dense.rows)
+    rows[i] = rows[i][:j] + (draw(rng),) + rows[i][j + 1 :]
+    return _unchecked(RationalMatrix, n, tuple(rows))
 
 
 def theorem_oracle(
@@ -282,7 +299,12 @@ def theorem_oracle(
         rng = trial_rng(seed, index)
         element = random_scaled_perm(n, rng)
         dense = element.to_dense()
-        positives_passed += _decide(dense, max_n) == (element.sigma, element.scale)
+        found = _decide(dense, max_n)
+        positives_passed += (
+            type(found) is tuple
+            and found[0].image == element.sigma.image
+            and found[1] == element.scale
+        )
         perturbed = _inject_off_pattern(element, dense, rng, random_nonzero_rational)
         found = _decide(perturbed, max_n)
         if type(found) is Violation and witness_violates(perturbed, found.witness, max_n=max_n):

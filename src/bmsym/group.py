@@ -1,11 +1,12 @@
-"""The symmetry group: permutations, scaled permutations and affine symmetries.
+"""The linear symmetry group: permutations and scaled permutations.
 
 A permutation of {1..n} is in one-line notation (1-based throughout).  A
 scaled permutation (monomial) matrix carries the value ``scale[i]`` in row
 ``i``, column ``sigma(i)``, and zeros elsewhere.  With the scale product
 pinned to 1 these matrices are exactly the linear maps preserving the product
 form ``y^1 y^2 ... y^n``; adding an arbitrary translation gives the affine
-symmetry group of the metric ``F(y) = (y^1 ... y^n)^(1/n)``.
+symmetry group of the metric ``F(y) = (y^1 ... y^n)^(1/n)``, whose
+elements are ``affine.AffineSymmetry`` values.
 
 Validation contract: the constructors check everything (a bijection, nonzero
 scales of product 1, exact entries), and ``apply`` checks a caller's vector;
@@ -17,21 +18,19 @@ entry is an exact ``Fraction``, so each group-law and action method of a
 scaled permutation is one pass of a fused kernel of ``matrix`` (one gcd per
 entry, no intermediate vector).
 
-``AffineSymmetry`` stays a frozen dataclass, the package's last one:
-``perfbench/test_perfbench_checks.py::test_wrong_symmetry_data_is_counted_as_failed``
-builds a wrong one with ``dataclasses.replace``.  It is given the generated
-store (``matrix._store_for``) that ``_unchecked`` calls, as a ``_Record`` gets.
+Both types are ``matrix._Record`` values, so this module, and the classifier
+and sampler that build on it, import no ``dataclasses``; only ``affine``
+does.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, UnitProductViolation, ZeroScale
-from .matrix import ONE, ZERO, RationalMatrix, _affine_gather, _inverse_gather, _prod
-from .matrix import _Record, _scaled_gather, _sized_vector, _store_for, _unchecked
+from .matrix import ONE, ZERO, RationalMatrix, _inverse_gather, _prod
+from .matrix import _Record, _scaled_gather, _sized_vector, _unchecked
 
 
 class Permutation(_Record):
@@ -163,54 +162,3 @@ class ScaledPerm(_Record):
         """Componentwise action: result[i] = scale[i] * y[sigma(i)]."""
         return _scaled_gather(self.scale, self.sigma.image, _sized_vector(y, self.n, "vector"))
 
-
-@dataclass(frozen=True)
-class AffineSymmetry:
-    """x -> linear @ x + translation, with a scaled-permutation linear part."""
-
-    linear: ScaledPerm
-    translation: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        translation = _sized_vector(self.translation, self.linear.n, "translation")
-        object.__setattr__(self, "translation", translation)
-
-    @property
-    def n(self) -> int:
-        return self.linear.n
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineSymmetry":
-        return cls(ScaledPerm.identity(n), (ZERO,) * n)
-
-    @classmethod
-    def linear_only(cls, linear: ScaledPerm) -> "AffineSymmetry":
-        return cls(linear, (ZERO,) * linear.n)
-
-    def is_identity(self) -> bool:
-        return self.linear.is_identity() and all(v == 0 for v in self.translation)
-
-    def apply(self, x: Sequence) -> tuple[Fraction, ...]:
-        lin, vec = self.linear, _sized_vector(x, self.linear.n, "vector")
-        return _affine_gather(lin.scale, lin.sigma.image, vec, self.translation)
-
-    def compose(self, other: "AffineSymmetry") -> "AffineSymmetry":
-        """self after other: apply(compose(s, t), x) == apply(s, apply(t, x))."""
-        lin = self.linear
-        linear = lin.compose(other.linear)  # the size check, before the gather indexes
-        shift = _affine_gather(lin.scale, lin.sigma.image, other.translation, self.translation)
-        return _unchecked(AffineSymmetry, linear, shift)
-
-    def __mul__(self, other: "AffineSymmetry") -> "AffineSymmetry":
-        if not isinstance(other, AffineSymmetry):
-            return NotImplemented
-        return self.compose(other)
-
-    def inverse(self) -> "AffineSymmetry":
-        inv = self.linear.sigma.inverse()
-        scale, translation = _inverse_gather(self.linear.scale, inv.image, self.translation)
-        linear = _unchecked(ScaledPerm, inv, scale)
-        return _unchecked(AffineSymmetry, linear, translation)
-
-
-AffineSymmetry._store = _store_for(AffineSymmetry)  # what _unchecked calls

@@ -9,6 +9,10 @@ the zero trace hold within TOLERANCE when some entry is a float, exactly
 otherwise.  Every operation computes its result's chart and one rule per
 type completes it, unchecked (``dn1_new`` for the group, ``_traceless`` for
 the algebra); a float result is thus projected onto the group or algebra.
+On exact elements the group law (``multiply``, ``inverse``, ``mu``) forms
+its chart with the integer-ratio kernels of ``matrix`` (``_scaled_gather``,
+``_inv``), one gcd per entry, and completes it as ``dn1_new`` does, by the
+reciprocal of the chart's product (``_exact_element``).
 The algebra is abelian (diagonal matrices commute), so the bracket and the
 structure constants are zero by the theorem; the tests hold the expansion.
 Both types are ``matrix._Record`` values, not dataclasses, so the Lie path
@@ -29,7 +33,7 @@ from .errors import (
     UnitProductViolation,
     ZeroCoordinate,
 )
-from .matrix import ONE, ZERO, _Record, _inv, _prod, _unchecked, as_fraction
+from .matrix import ONE, ZERO, _Record, _inv, _prod, _scaled_gather, _unchecked, as_fraction
 
 TYPE_CHECKING = False  # true to a type checker; the run time imports no typing
 if TYPE_CHECKING:
@@ -110,12 +114,17 @@ class DiagonalGroupElement(_Diagonal):
         return all(v == 1 for v in self.diag)
 
     def inverse(self) -> "DiagonalGroupElement":
+        if type(self.diag[0]) is Fraction:
+            return _exact_element(tuple(map(_inv, self.diag[:-1])))
         return dn1_new(tuple(1 / v for v in self.diag[:-1]))
 
     def multiply(self, other: "DiagonalGroupElement") -> "DiagonalGroupElement":
         if self.n != other.n:
             raise DimensionMismatch(f"sizes differ: {self.n} vs {other.n}")
-        return dn1_new(tuple(a * b for a, b in zip(self.diag[:-1], other.diag[:-1])))
+        a, b = self.diag, other.diag
+        if type(a[0]) is Fraction and type(b[0]) is Fraction:
+            return _exact_element(_scaled_gather(a, range(1, len(a)), b))
+        return dn1_new(tuple(x * y for x, y in zip(a[:-1], b[:-1])))
 
     def __mul__(self, other: "DiagonalGroupElement") -> "DiagonalGroupElement":
         if not isinstance(other, DiagonalGroupElement):
@@ -184,6 +193,11 @@ def _traceless(head: tuple) -> TracelessDiagonal:
     return _unchecked(TracelessDiagonal, (*head, last))
 
 
+def _exact_element(head: tuple) -> DiagonalGroupElement:
+    """The element whose chart is ``head``, nonzero ``Fraction``s, unchecked."""
+    return _unchecked(DiagonalGroupElement, (*head, _inv(_prod(head))))
+
+
 def dn1_new(first) -> DiagonalGroupElement:
     """Element from its first n-1 entries; the last is the reciprocal product.
 
@@ -197,7 +211,7 @@ def dn1_new(first) -> DiagonalGroupElement:
     if any(v == 0 for v in entries):
         raise ZeroCoordinate("chart coordinates must be nonzero")
     if not any(isinstance(v, float) for v in entries):
-        return _unchecked(DiagonalGroupElement, (*entries, _inv(_prod(entries))))
+        return _exact_element(entries)
     if not all(isinstance(v, float) for v in entries):  # the constructor's check
         raise TypeError(f"entries must be all floats or all exact, got {entries!r}")
     if not all(map(math.isfinite, entries)):
@@ -218,9 +232,11 @@ def chart(a: DiagonalGroupElement) -> tuple:
 
 
 def mu(a: DiagonalGroupElement, b: DiagonalGroupElement) -> DiagonalGroupElement:
-    """The division map a^{-1} b: the chart b_i / a_i, completed by ``dn1_new``."""
+    """The division map a^{-1} b: the chart b_i / a_i, completed as in ``dn1_new``."""
     if a.n != b.n:
         raise DimensionMismatch(f"sizes differ: {a.n} vs {b.n}")
+    if type(a.diag[0]) is Fraction and type(b.diag[0]) is Fraction:
+        return _exact_element(_scaled_gather(b.diag, range(1, a.n), tuple(map(_inv, a.diag[:-1]))))
     return dn1_new(tuple(y / x for x, y in zip(a.diag[:-1], b.diag[:-1])))
 
 

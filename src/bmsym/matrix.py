@@ -13,15 +13,17 @@ paths end in the class's one store, ``_store``, generated from
 
 ``_Record`` is the immutable base of every value record but one:
 ``RationalMatrix``, the Lie records, ``Permutation``, ``ScaledPerm`` and the
-classifier's records.  ``group.AffineSymmetry`` stays a frozen dataclass,
-given a ``_store`` of its own for ``_unchecked``.
+classifier's records.  ``affine.AffineSymmetry`` stays a frozen dataclass,
+given a ``_store`` of its own for ``_unchecked``; it is alone in its module,
+so no other module imports ``dataclasses``.
 
 Kernels: ``_inv`` (reciprocal) and ``_prod`` (sequence product) do the
-scalar arithmetic of ``classify``, ``sampling`` and ``lie``.  ``apply`` is
-one ``_dot`` (sum of products) per row and ``@`` forms each entry with
-``_dot``'s step: one integer numerator over the lcm of the term
-denominators, one gcd per term, reduced once.  The group law and action of
-``group`` run on three fused gathers, one loop each: ``_scaled_gather``
+scalar arithmetic of ``classify``, ``sampling`` and ``lie``, whose exact
+group law also runs on ``_scaled_gather``.  ``apply`` is one ``_dot`` (sum
+of products) per row and ``@`` forms each entry with ``_dot``'s step: one
+integer numerator over the lcm of the term denominators, one gcd per term,
+reduced once.  The group law and action of ``group`` and ``affine`` run on
+three fused gathers, one loop each: ``_scaled_gather``
 (``s * y``), ``_affine_gather`` (``s * y + t``, formed as
 ``(ns*ny*dt + ds*dy*nt) / (ds*dy*dt)``) and ``_inverse_gather`` (``1 / s``
 and ``-t / s``), each entry reduced by one gcd.  All read the integer ratios

@@ -32,10 +32,6 @@ def random_nonzero_rational(rng: random.Random) -> Fraction:
     return rng.choice(rng.choice(_NONZERO))
 
 
-def random_positive_rational(rng: random.Random) -> Fraction:
-    return rng.choice(rng.choice(_POSITIVE))
-
-
 def random_permutation(n: int, rng: random.Random) -> Permutation:
     if n < 1:
         raise ValueError("a permutation needs at least one point")
@@ -45,8 +41,9 @@ def random_permutation(n: int, rng: random.Random) -> Permutation:
 
 
 def random_scaled_perm(n: int, rng: random.Random, *, positive: bool = False) -> ScaledPerm:
-    draw = random_positive_rational if positive else random_nonzero_rational
-    head = [draw(rng) for _ in range(n - 1)]
+    table, choice = _POSITIVE if positive else _NONZERO, rng.choice
+    # a row, then one of its entries, as random_nonzero_rational draws
+    head = [choice(choice(table)) for _ in range(n - 1)]
     sigma = random_permutation(n, rng)
     return _unchecked(ScaledPerm, sigma, (*head, _inv(_prod(head))))
 

@@ -30,8 +30,9 @@ from .matrix import RationalMatrix, _unchecked
 
 TYPE_CHECKING = False  # true to a type checker; the run time imports no typing
 if TYPE_CHECKING:
+    from .affine import AffineSymmetry
     from .classify import OracleReport
-    from .group import AffineSymmetry, Permutation, ScaledPerm
+    from .group import Permutation, ScaledPerm
     from .lie import DiagonalGroupElement, TracelessDiagonal
 
 _RATIONAL = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
@@ -126,7 +127,8 @@ def sigma_from_obj(obj, n: int) -> Permutation:
 
 
 def element_to_obj(element: AffineSymmetry | ScaledPerm) -> dict:
-    from .group import AffineSymmetry, ScaledPerm
+    from .affine import AffineSymmetry
+    from .group import ScaledPerm
 
     if isinstance(element, ScaledPerm):
         element = AffineSymmetry.linear_only(element)
@@ -140,7 +142,8 @@ def element_to_obj(element: AffineSymmetry | ScaledPerm) -> dict:
 
 
 def element_from_obj(obj) -> AffineSymmetry:
-    from .group import AffineSymmetry, ScaledPerm
+    from .affine import AffineSymmetry
+    from .group import ScaledPerm
 
     obj = _require_dict(obj, "element")
     n = _require_n(obj)

@@ -16,21 +16,24 @@ import pytest
 from bmsym.cli import _SUBCOMMANDS
 from helpers import SUBCOMMAND_ARGS, loaded_by
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SRC = ROOT / "src" / "bmsym"
 
 ROWS = {name: ["bmsym", name, *args] for name, args in SUBCOMMAND_ARGS.items()}
 ROWS.update({demo.name: [str(demo)] for demo in DEMOS})
 
 CORE = "bmsym bmsym.cli bmsym.errors bmsym.matrix bmsym.serialize"
-GROUP = CORE + " bmsym.group dataclasses"
+GROUP = CORE + " bmsym.group"
+AFFINE = GROUP + " bmsym.affine dataclasses"
 LIE = CORE + " bmsym.lie"
-DEMO = "bmsym bmsym.errors bmsym.group bmsym.matrix dataclasses"
+DEMO = "bmsym bmsym.errors bmsym.group bmsym.matrix"
 CONTRACT = {
-    "compose": GROUP, "inverse": GROUP, "apply": GROUP, "metric": CORE,
+    "compose": AFFINE, "inverse": AFFINE, "apply": AFFINE, "metric": CORE,
     "classify": GROUP + " bmsym.classify", "membership": GROUP + " bmsym.classify",
     "oracle": GROUP + " bmsym.classify bmsym.sampling",
     "lie-exp": LIE, "lie-log": LIE, "lie-basis": LIE, "lie-structure": LIE, "components": LIE,
-    "01_scaled_permutations.py": DEMO,
+    "01_scaled_permutations.py": DEMO + " bmsym.affine dataclasses",
     "02_metric_invariance.py": DEMO + " bmsym.sampling",
     "03_classifying_jacobians.py": DEMO + " bmsym.classify bmsym.sampling",
     "04_diagonal_lie_group.py": DEMO + " bmsym.lie",
@@ -54,6 +57,18 @@ def test_import_contract(name, baseline):
     added = loaded_by([ROWS[name]]) - baseline
     pinned = {m for m in added if m.partition(".")[0] in ("bmsym", "dataclasses", "numpy")}
     assert pinned == set(CONTRACT[name].split())
+
+
+def test_only_affine_loads_dataclasses():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    assert {"affine", "classify", "group", "sampling"} <= modules
+    # every module but affine, and __main__, which would run the command line
+    names = sorted(modules - {"affine", "__main__"})
+    probe = "\n".join([
+        "import sys", "seen = set(sys.modules)", *(f"import bmsym.{name}" for name in names),
+        "sys.exit('dataclasses' in sys.modules.keys() - seen)",
+    ])
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
 def test_no_row_loads_typing():

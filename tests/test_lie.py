@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from helpers import wide_nonzero_rationals
 from oracles import (
     entrywise_add,
     entrywise_exp,
@@ -615,8 +616,8 @@ wide_fractions = st.fractions(min_value=-(10**6), max_value=10**6, max_denominat
 
 
 @st.composite
-def exact_group_elements(draw, n):
-    head = [draw(wide_fractions.filter(bool)) for _ in range(n - 1)]
+def exact_group_elements(draw, n, entries=wide_fractions.filter(bool)):
+    head = [draw(entries) for _ in range(n - 1)]
     return DiagonalGroupElement((*head, 1 / math.prod(head, start=F(1))))
 
 
@@ -638,6 +639,19 @@ def test_exact_operations_equal_the_entrywise_oracles(data, n):
     assert_same(mu(a, b), entrywise_mu(a, b))
     assert_same(x + y, entrywise_add(x, y))
     assert_same(x.scaled(factor), entrywise_scaled(x, factor))
+
+
+@given(st.data(), st.integers(min_value=2, max_value=8))
+def test_exact_group_law_kernels_equal_the_fraction_operators(data, n):
+    # negative entries, with numerators and denominators up to 2**128
+    a = data.draw(exact_group_elements(n, wide_nonzero_rationals))
+    b = data.draw(exact_group_elements(n, wide_nonzero_rationals))
+    # assert_same: the type, each entry's numerator and denominator (by repr) and the hash
+    assert_same(a.multiply(b), entrywise_multiply(a, b))
+    assert_same(a * a, entrywise_multiply(a, a))
+    assert_same(a.inverse(), entrywise_inverse(a))
+    assert_same(mu(a, b), entrywise_mu(a, b))
+    assert_same(mu(b, b), DiagonalGroupElement.identity(n))
 
 
 EDGE_OFFSETS = [0.0, 9e-13, -9e-13, 5e-13, -5e-13]
