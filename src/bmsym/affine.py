@@ -1,13 +1,16 @@
 """Affine symmetries x -> linear @ x + translation of the product form.
 
-The linear part is a ``group.ScaledPerm`` and the translation is arbitrary.
-The constructor checks the translation's length; ``compose`` and ``inverse``
-build their results unchecked, each one pass of a fused gather of ``matrix``.
+Validates: the constructor coerces the translation and checks its length
+against the linear part, a ``group.ScaledPerm``.  Trusts: ``compose`` and
+``inverse`` build their results unchecked, each in one pass of a fused
+gather of ``matrix``.
 
 ``AffineSymmetry`` is the package's last frozen dataclass (``perfbench``'s
 checks build a wrong one with ``dataclasses.replace``), given the generated
-store (``matrix._store_for``) that ``_unchecked`` calls.  It has a module of
-its own so that only the paths that build one import ``dataclasses``.
+store that ``_unchecked`` calls.  It has a module of its own so that only
+the paths that build one import ``dataclasses``.
+
+Imports ``dataclasses``, ``group`` and ``matrix``.
 """
 
 from __future__ import annotations

@@ -1,38 +1,29 @@
-"""Classify linear/affine coordinate changes against the invariance system.
+"""Decide whether a rational Jacobian is a symmetry of the product form.
 
-A square Jacobian J preserves the product form y^1 ... y^n exactly when
+The theorem decided: for n >= 2, a square J preserves y^1 ... y^n
+identically exactly when (1) its permanent is 1 and (2) every degenerate
+product vanishes, prod_i J[i, k_i] = 0 for each column tuple (k_1..k_n)
+with a repeated index; that is, exactly when J is a scaled permutation
+matrix with unit scale product.  For n >= 3 the argument plays a third row
+against the indices; the 2x2 system (ac = 0, bd = 0, ad + bc = 1) gives the
+same conclusion by direct case analysis.
 
-  (1) the permanent of J is 1:  sum over all permutations tau of
-      prod_i J[i, tau(i)] equals 1, and
-  (2) every degenerate product vanishes:  for any column tuple
-      (k_1..k_n) with a repeated index, prod_i J[i, k_i] = 0.
+Validates: the dimension (n >= 2 for a verdict, then the policy cap
+``DEFAULT_MAX_N`` before any work), a translation's length, and a
+re-checked witness's indices.  Trusts: ``RationalMatrix`` entries are exact
+``Fraction``s.  Verdicts are built unchecked, since the decision proved
+distinct support columns and a unit scale product.
 
-Together the two conditions force J to be a scaled permutation matrix with
-unit scale product.  The argument needs a third row to play indices against
-for n >= 3; the 2x2 system (ac = 0, bd = 0, ad + bc = 1) yields the same
-conclusion by direct case analysis, so the classifier accepts n >= 2.
+The decision, ``permanent`` and the witness re-check all read one row scan,
+``_scan``: a zero row (permanent 0), else the first degenerate tuple (a
+tuple off the supports has product 0), else a monomial's (sigma, scales),
+whose permanent is the scale product.  Only ``permanent`` of any other
+matrix expands, over the row supports.
 
-Both conditions are decided in one O(n^2) pass over the rows (`_scan`),
-without enumeration.  A tuple with an off-support index (a column where
-its row is zero) has product 0, so the first degenerate tuple in
-lexicographic order is built greedily over the supports, which by
-pigeonhole has a closed form.  Without one, J has a zero row (permanent 0)
-or is monomial (permanent = scale product), so the verdict needs no
-permanent.  `witness_violates` re-checks a permanent witness with the same
-scan, which reads that permanent off a zero row or a monomial, the only
-matrices the classifier issues one for; on any other matrix it falls back
-to `permanent`, which expands along the row supports.  The dimension cap
-(DEFAULT_MAX_N) is a policy limit, checked first either way.
-`theorem_oracle` compares `_decide`'s (sigma, scales) with the sampled
-element's fields directly, so a trial builds no verdict record it would
-discard, and splices its off-pattern entry into one row of the element's
-dense form, unchecked.
-Verdicts are built unchecked: the decision proved distinct support columns
-and a unit scale product.  The verdict and witness records are
-``matrix._Record`` values that take their fields by position.
-``classify_affine`` imports ``affine`` (and with it ``dataclasses``) on its
-first symmetry verdict and keeps the class in a module global, so the CLI's
-classifier calls, which build no ``AffineSymmetry``, never load it.
+Imports ``errors``, ``group`` and ``matrix``.  ``classify_affine`` loads
+``affine``, and ``dataclasses`` with it, on its first symmetry verdict, into
+a module global, so CLI classifier calls never load it and a later verdict
+runs no import statement; ``theorem_oracle`` imports ``sampling``.
 """
 
 from __future__ import annotations
@@ -97,13 +88,24 @@ def _check_cap(n: int, max_n: int) -> None:
 
 
 def permanent(matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N) -> Fraction:
-    """Exact permanent by expansion along the rows, over each row's support.
+    """The exact permanent: 0 at a zero row and the scale product of a
+    monomial, both read off ``_scan``, else ``_expand_over_supports``."""
+    _check_cap(matrix.n, max_n)
+    found = _scan(matrix)
+    if type(found) is tuple:
+        return _prod(found[1])
+    if type(found) is PermanentMismatch:
+        return found.value
+    return _expand_over_supports(matrix)
+
+
+def _expand_over_supports(matrix: RationalMatrix) -> Fraction:
+    """The permanent by expansion along the rows, over each row's support.
 
     ``sums`` maps each set of columns used so far (a bitmask) to the sum of
     the entry products onto it, on rows scaled to integers; the scaling is
-    divided out at the end.  O(n) on a monomial, n 2^(n-1) steps when dense.
+    divided out at the end.  At most n 2^(n-1) steps, on a dense matrix.
     """
-    _check_cap(matrix.n, max_n)
     sums = {0: 1}
     denominator = 1
     for row in matrix.rows:
@@ -235,19 +237,6 @@ def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:
     return type(found) is tuple and found[0].image == sigma.inverse().image and _prod(found[1]) == 1
 
 
-def _scanned_permanent(matrix: RationalMatrix, max_n: int) -> Fraction:
-    """The permanent, read off `_scan` for a zero row (0) or a monomial (the
-    scale product), which are the matrices the classifier issues a
-    PermanentMismatch for; expanded by `permanent` for any other."""
-    _check_cap(matrix.n, max_n)
-    found = _scan(matrix)
-    if type(found) is tuple:
-        return _prod(found[1])
-    if type(found) is PermanentMismatch:
-        return found.value
-    return permanent(matrix, max_n=max_n)
-
-
 def witness_violates(
     matrix: RationalMatrix, witness: Witness, *, max_n: int = DEFAULT_MAX_N
 ) -> bool:
@@ -261,19 +250,17 @@ def witness_violates(
         product = _prod(matrix.rows[i][k - 1] for i, k in enumerate(indices))
         return product != 0 and product == witness.product
     if isinstance(witness, PermanentMismatch):
-        return witness.value != 1 and _scanned_permanent(matrix, max_n) == witness.value
+        return witness.value != 1 and permanent(matrix, max_n=max_n) == witness.value
     raise TypeError(f"unknown witness type: {witness!r}")
 
 
 def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng, draw) -> RationalMatrix:
-    """``dense``, element's dense form, plus one nonzero entry ``draw(rng)`` off its pattern."""
+    """``dense``, element's dense form, with one nonzero entry ``draw(rng)`` set off its pattern."""
     n = element.n
-    i = rng.randrange(n)
-    on_column = element.sigma.image[i]
-    j = rng.choice([j for j in range(1, n + 1) if j != on_column]) - 1
-    rows = list(dense.rows)
-    rows[i] = rows[i][:j] + (draw(rng),) + rows[i][j + 1 :]
-    return _unchecked(RationalMatrix, n, tuple(rows))
+    row = rng.randrange(n) + 1
+    on_column = element.sigma.image[row - 1]
+    column = rng.choice([j for j in range(1, n + 1) if j != on_column])
+    return dense.with_entry(row, column, draw(rng))
 
 
 def theorem_oracle(

@@ -2,16 +2,16 @@
 
 Exit codes: 0 success or positive verdict, 1 negative verdict (violation,
 non-membership, failed oracle), 2 usage or input error, 3 dimension cap
-exceeded.  Every flag that names an input accepts either a file path or
-inline JSON (recognized by a leading "{" or "[").  The single JSON result
-document goes to stdout (or --output); diagnostics go to stderr.  Each
-subcommand is one row of ``_SUBCOMMANDS`` (name, help, handler, flags),
-and ``build_parser`` adds --output and the row's flags to each.  Every call
-is a fresh process, so it pays only for its own subcommand: ``main`` builds
-the subparser of the row that argv names first, and the whole table only
-when no row has that name (no argv, ``-h``, an unknown name, or an option
-first), so help and usage errors read the same either way.  Each handler
-imports the layers it runs, so a call loads only those.
+exceeded, each error with one ``error:`` line on stderr.  An input flag
+takes a file path or inline JSON (a leading "{" or "["); the one result
+document goes to stdout or --output.
+
+Validates only the Lie subcommands' ``--n``; ``serialize`` reads the rest.
+Each subcommand is one row of ``_SUBCOMMANDS``.  A call is a fresh process,
+so ``main`` builds only the subparser that argv names first, and the whole
+table when there is none, so help and usage errors read the same either
+way.  Imports ``argparse``, ``errors`` and ``serialize``; each handler
+imports the layers it runs.
 """
 
 from __future__ import annotations

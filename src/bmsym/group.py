@@ -1,26 +1,18 @@
 """The linear symmetry group: permutations and scaled permutations.
 
 A permutation of {1..n} is in one-line notation (1-based throughout).  A
-scaled permutation (monomial) matrix carries the value ``scale[i]`` in row
-``i``, column ``sigma(i)``, and zeros elsewhere.  With the scale product
-pinned to 1 these matrices are exactly the linear maps preserving the product
-form ``y^1 y^2 ... y^n``; adding an arbitrary translation gives the affine
-symmetry group of the metric ``F(y) = (y^1 ... y^n)^(1/n)``, whose
-elements are ``affine.AffineSymmetry`` values.
+scaled permutation carries ``scale[i]`` in row ``i``, column ``sigma(i)``,
+and zeros elsewhere.  With scale product 1 these are exactly the linear maps
+that preserve ``y^1 ... y^n``; ``affine.AffineSymmetry`` adds translations.
 
-Validation contract: the constructors check everything (a bijection, nonzero
-scales of product 1, exact entries), and ``apply`` checks a caller's vector;
-each length goes through ``matrix._sized_vector``.  ``compose``, ``inverse``
-and ``to_dense`` build their results unchecked: bijections compose and invert
-to bijections, the scales of a product multiply to 1 * 1 and those of an
-inverse to 1 / 1, so validity follows by algebra.  Past the constructors every
-entry is an exact ``Fraction``, so each group-law and action method of a
-scaled permutation is one pass of a fused kernel of ``matrix`` (one gcd per
-entry, no intermediate vector).
+Validates: the constructors (a bijection of integers; nonzero exact scales
+of product 1) and ``apply``'s vector, each length through
+``matrix._sized_vector``.  Trusts: ``compose``, ``inverse`` and ``to_dense``
+build their results unchecked, valid by algebra (bijections compose and
+invert to bijections; unit products multiply and invert to 1), each in one
+pass of a fused kernel of ``matrix``.
 
-Both types are ``matrix._Record`` values, so this module, and the classifier
-and sampler that build on it, import no ``dataclasses``; only ``affine``
-does.
+Imports ``errors`` and ``matrix``; no ``dataclasses``.
 """
 
 from __future__ import annotations

@@ -1,23 +1,20 @@
 """The commutative Lie group of determinant-one diagonal matrices.
 
-Group elements are diag(a_1..a_n) with entry product 1; the chart drops the
-last entry, which is redundant.  The tangent space at the identity consists
-of traceless diagonals, with exp/log acting componentwise on the chart.
-Entries may be floats or exact rationals: rational elements keep all group
-arithmetic exact, while exp/log always produce floats.  The unit product and
-the zero trace hold within TOLERANCE when some entry is a float, exactly
-otherwise.  Every operation computes its result's chart and one rule per
-type completes it, unchecked (``dn1_new`` for the group, ``_traceless`` for
-the algebra); a float result is thus projected onto the group or algebra.
-On exact elements the group law (``multiply``, ``inverse``, ``mu``) forms
-its chart with the integer-ratio kernels of ``matrix`` (``_scaled_gather``,
-``_inv``), one gcd per entry, and completes it as ``dn1_new`` does, by the
-reciprocal of the chart's product (``_exact_element``).
-The algebra is abelian (diagonal matrices commute), so the bracket and the
+Elements are diag(a_1..a_n) with product 1, charted by the first n - 1
+entries; the algebra is the traceless diagonals, with exp and log acting
+componentwise on the chart.  Entries are floats or exact rationals; exp and
+log give floats.
+
+Validates: the constructors check the unit product or zero trace, exactly,
+or within TOLERANCE if an entry is a float.  Trusts: every operation
+computes its result's chart and completes it unchecked, by ``dn1_new``
+(the reciprocal product) or ``_traceless`` (minus the trace), so a float
+result cannot fail by accumulated rounding.  Exact group laws run on the
+kernels of ``matrix``.  The algebra is abelian, so the bracket and the
 structure constants are zero by the theorem; the tests hold the expansion.
-Both types are ``matrix._Record`` values, not dataclasses, so the Lie path
-never imports ``dataclasses``: slotted, immutable, compared and hashed by
-their entries, with a dataclass-style ``repr`` and positional ``match``.
+
+Imports ``errors`` and ``matrix``; ``array`` and ``group`` in the one
+function that uses each.
 """
 
 from __future__ import annotations

@@ -1,40 +1,23 @@
-"""Dense square matrices and vectors over exact rationals, and the product form.
+"""Exact rational vectors and square matrices, their kernels, and the product form.
 
-Validation contract: ``Cls(...)`` checks and coerces everything it is
-given, and ``_sized_vector`` is the one length check on a caller's vector.
-``_unchecked(Cls, *fields)`` trusts its fields, in ``__match_args__`` order.
-It builds the results of operations on already-valid values (here ``@``
-and ``with_entry``, which checks only its new entry; in ``group`` the group
-law and ``to_dense``), valid by algebra, and every copy and pickle of a
-record.  Every stored entry is exactly a ``Fraction`` either way.  Both
-paths end in the class's one store, ``_store``, generated from
-``__match_args__`` (``_store_for``), so a record costs what a hand-written
-``__init__`` would.
+Validates: ``as_fraction`` and ``as_vector`` coerce ints, ``Fraction``s and
+strings and reject floats; ``_sized_vector`` is the one length check on a
+caller's vector; ``RationalMatrix(...)`` checks every entry, and
+``with_entry``, the one way to replace an entry, its index and new entry.
+Trusts: ``_unchecked(Cls, *fields)`` stores fields in ``__match_args__``
+order as given, for results valid by algebra and for copies and pickles.
+Both paths end in the class's one generated ``_store``.  ``_Record`` is the
+base of every value record but the dataclass ``affine.AffineSymmetry``.
 
-``_Record`` is the immutable base of every value record but one:
-``RationalMatrix``, the Lie records, ``Permutation``, ``ScaledPerm`` and the
-classifier's records.  ``affine.AffineSymmetry`` stays a frozen dataclass,
-given a ``_store`` of its own for ``_unchecked``; it is alone in its module,
-so no other module imports ``dataclasses``.
+The kernels (``_fraction``, ``_inv``, ``_prod``, ``_dot``, ``@`` and the
+gathers) read validated ``Fraction``s through their ``_numerator`` and
+``_denominator`` slots (``as_integer_ratio`` is a method call) and build
+each result once: exactly the ``Fraction`` the operators return, which
+``tests/check_kernels.py`` checks with the standard library alone.
+``metric_power`` is the exact y^1 ... y^n that the symmetry group
+preserves, and ``metric`` its real n-th root in floats.
 
-Kernels: ``_inv`` (reciprocal) and ``_prod`` (sequence product) do the
-scalar arithmetic of ``classify``, ``sampling`` and ``lie``, whose exact
-group law also runs on ``_scaled_gather``.  ``apply`` is one ``_dot`` (sum
-of products) per row and ``@`` forms each entry with ``_dot``'s step: one
-integer numerator over the lcm of the term denominators, one gcd per term,
-reduced once.  The group law and action of ``group`` and ``affine`` run on
-three fused gathers, one loop each: ``_scaled_gather``
-(``s * y``), ``_affine_gather`` (``s * y + t``, formed as
-``(ns*ny*dt + ds*dy*nt) / (ds*dy*dt)``) and ``_inverse_gather`` (``1 / s``
-and ``-t / s``), each entry reduced by one gcd.  All read the integer ratios
-of validated ``Fraction``s from the ``_numerator`` and ``_denominator`` slots
-(Python 3.10+; ``as_integer_ratio`` is a method call) and build each result
-once, in lowest terms with a positive denominator: exactly the ``Fraction``
-(value, numerator, denominator, hash and type) that the operators return.
-
-The product form: ``metric_power`` is the exact product ``y^1 ... y^n`` (one
-``_prod``), the polynomial that the group of ``group`` preserves, and
-``metric`` is its real n-th root ``F(y)``, the metric, in floats.
+Imports ``errors`` and the standard library.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Seeded random generation of exact group elements.
 
-Scales are ratios of integers in [-9, 9] without zero; the last scale is the
-reciprocal of the running product, so unit products hold exactly by
-construction.  A ratio p/q is drawn as row p, then column q, of a table
-built at import: the draws of ``Fraction(rng.choice(ints),
-rng.choice(ints))``, without building a Fraction.  A shuffle of 1..n is a
-bijection, so sampled permutations and scaled permutations are built
-unchecked.  Every generator takes an explicit random.Random so callers
-control reproducibility; trial_rng derives an independent stream per
-(seed, index) pair, making batch runs schedule-independent.
+Every generator takes an explicit ``random.Random``, and ``trial_rng``
+derives an independent stream per (seed, index) pair, so batch runs are
+schedule-independent.  Trusts its own construction: a shuffle of 1..n is a
+bijection, and the last scale is the reciprocal of the running product, so
+sampled permutations and scaled permutations are built unchecked.  Scales
+are ratios p/q of integers in [-9, 9] without zero, read off a table built
+at import as row p, then column q: the draws of ``Fraction(rng.choice(ints),
+rng.choice(ints))``, without building a ``Fraction``.
+
+Imports ``group``, ``matrix`` and ``random``.
 """
 
 from __future__ import annotations

@@ -1,21 +1,18 @@
 """Canonical JSON for every object the command line reads or writes.
 
-The encoder is deterministic byte for byte: keys appear in the order the
-codec inserts them, separators are compact, floats go through
-repr-faithful '%.17g', and every other scalar through one ``json.dumps``.
-Rationals are written as ``str(Fraction)``, the lowest-terms "p" or "p/q",
-and every rational array goes through ``vector_to_obj``.  Parsers reject
-anything that does not match the documented shapes with MalformedInput so
-the CLI can map the whole family to one exit code.
-
-Each input is checked once, by the reader for its shape: ``_require_list``
-checks every array's type and length, ``vector_from_obj`` reads every
-rational array, ``sigma_from_obj`` reads ``--sigma`` (a bare array or an
-object), and the constructors add the algebraic conditions (a bijection, a
-unit product, a zero trace).  A parsed matrix holds exactly the
+Validates each input once, by the reader for its shape (``_require_list``
+for every array, ``vector_from_obj`` for every rational array,
+``sigma_from_obj`` for ``--sigma``), raising MalformedInput, and the
+constructors add the algebraic conditions.  Reading keeps Python's limit
+on the digits of an integer literal.  Trusts: a parsed matrix holds the
 ``Fraction``s its reader built, so it is built with ``_unchecked``.
-The group, classifier and Lie record types are imported inside the
-functions that use them, so each subcommand loads only its own layer.
+
+Writes deterministically: keys in insertion order, compact separators,
+floats as '%.17g', other scalars through ``json.dumps``, and each rational
+array through ``vector_to_obj`` as ``str(Fraction)``, written in full.
+
+Imports ``errors`` and ``matrix``; the group, classifier and Lie records
+inside the functions that use them, so a subcommand loads only its layer.
 """
 
 from __future__ import annotations
@@ -166,7 +163,15 @@ def matrix_from_obj(obj) -> RationalMatrix:
 
 
 def vector_to_obj(vector) -> list:
-    return [str(v) for v in vector]
+    """Each rational as ``str(Fraction)``, written in full."""
+    try:
+        return [str(v) for v in vector]
+    except ValueError:  # past Python's int-to-str limit, which Decimal does not apply
+        from decimal import Decimal
+
+        return [
+            f"{Decimal(v.numerator)}/{Decimal(v.denominator)}".removesuffix("/1") for v in vector
+        ]
 
 
 def vector_from_obj(obj, what: str = "vector", n: int | None = None) -> tuple[Fraction, ...]:

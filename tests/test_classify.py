@@ -576,14 +576,44 @@ def test_oracle_verdicts_match_the_product_form_at_random_points(n):
 
 
 
-def _filled_patterns(n, rng):
-    """Every one of the 2^(n^2) support patterns at n, each filled with seeded
-    nonzero values."""
-    for mask in range(2 ** (n * n)):
-        yield RationalMatrix([
-            [random_nonzero_rational(rng) if mask >> (i * n + j) & 1 else F(0) for j in range(n)]
-            for i in range(n)
-        ])
+def _support_oracles(values, rng, points=3, bound=10**6):
+    """Oracles for the matrix of ``values`` kept on any support pattern (a
+    bitmask with bit i n + j set for each nonzero entry (i, j)), read off
+    tables built once for every pattern: the first degenerate tuple of the
+    full n^n scan in lexicographic order (a tuple off the support has product
+    0), the permanent as the sum over all n! permutations, and whether
+    prod_i (J y)_i == prod_i y_i at ``points`` random y shared by all patterns
+    (as ``product_form_agrees_at_points`` draws them)."""
+    n = len(values)
+    tuples = []  # (mask, 1-based columns, product), in lexicographic order
+    for columns in itertools.product(range(n), repeat=n):
+        mask = sum(1 << (i * n + j) for i, j in enumerate(columns))
+        product = math.prod((values[i][j] for i, j in enumerate(columns)), start=F(1))
+        tuples.append((mask, tuple(j + 1 for j in columns), product))
+    degenerate = [t for t in tuples if len(set(t[1])) < n]
+    perms = [t for t in tuples if len(set(t[1])) == n]
+    ys = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(points)]
+    # sums[p][i][s] is row i of J y at point p when row i has support s (columns as bits)
+    sums = [
+        [[sum((values[i][j] * y[j] for j in range(n) if s >> j & 1), start=F(0))
+          for s in range(2**n)] for i in range(n)]
+        for y in ys
+    ]
+
+    def degenerate_on(pattern):
+        return next((DegenerateTuple(c, p) for mask, c, p in degenerate if mask & pattern == mask), None)
+
+    def permanent_on(pattern):
+        return sum((p for mask, _, p in perms if mask & pattern == mask), start=F(0))
+
+    def agrees_on(pattern):
+        rows = [pattern >> (i * n) & (2**n - 1) for i in range(n)]
+        return all(
+            math.prod(row[s] for row, s in zip(table, rows)) == math.prod(y)
+            for table, y in zip(sums, ys)
+        )
+
+    return degenerate_on, permanent_on, agrees_on
 
 
 def _filled_permutation_patterns(n, rng):
@@ -597,28 +627,84 @@ def _filled_permutation_patterns(n, rng):
             yield RationalMatrix(rows), product == 1
 
 
-# every support pattern at n = 2 and 3 (16 and 512); the 65,536 at n = 4 are not run
+def _assert_matches_the_definition(m, report, agrees, degenerate, expanded_permanent):
+    """The verdict is the definition's (``agrees``), and its witness is the
+    first degenerate tuple of the n^n scan, else a permanent that is not 1."""
+    assert isinstance(report, Symmetry) == agrees, m
+    if type(report) is Symmetry:
+        assert degenerate is None and expanded_permanent() == 1, m
+    elif type(report.witness) is DegenerateTuple:
+        assert report.witness == degenerate, m
+    else:
+        assert degenerate is None and report.witness.value == expanded_permanent() != 1, m
+
+
+def _filled_patterns(n, rng):
+    """Every one of the 2^(n^2) support patterns at n, each filled with seeded
+    nonzero values."""
+    for mask in range(2 ** (n * n)):
+        yield RationalMatrix([
+            [random_nonzero_rational(rng) if mask >> (i * n + j) & 1 else F(0) for j in range(n)]
+            for i in range(n)
+        ])
+
+
+def _kept_on(values, pattern):
+    """The matrix of ``values`` kept on the support ``pattern``, zero elsewhere."""
+    n = len(values)
+    return RationalMatrix([
+        [values[i][j] if pattern >> (i * n + j) & 1 else F(0) for j in range(n)] for i in range(n)
+    ])
+
+
+# every support pattern at n = 2, 3 and 4 (16, 512 and 65,536).  At n <= 3 each
+# pattern gets its own seeded nonzero filling and the per-matrix n^n, n! and
+# product-form oracles; those are too slow for 65,536 matrices, so at n = 4 all
+# patterns share one seeded filling and are read off tables built once (checked
+# against the per-matrix oracles below).  Random values never have scale product
+# 1, so each permutation pattern is filled once more with scale product 1 (and
+# once with 2) to reach the symmetry branch.
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_every_support_pattern_matches_the_definition(n):
     rng = random.Random(f"patterns:{n}")
+    checked = 0
+    if n == 4:
+        values = [[random_nonzero_rational(rng) for _ in range(n)] for _ in range(n)]
+        degenerate_on, permanent_on, agrees_on = _support_oracles(values, rng)
+        for pattern in range(2 ** (n * n)):
+            m = _kept_on(values, pattern)
+            _assert_matches_the_definition(m, invariance_system_check(m), agrees_on(pattern),
+                                           degenerate_on(pattern), lambda: permanent_on(pattern))
+            checked += 1
     cases = [(m, None) for m in _filled_patterns(n, rng)] if n <= 3 else []
     cases += _filled_permutation_patterns(n, rng)
-    assert len(cases) == {2: 16 + 4, 3: 512 + 12, 4: 48}[n]
     for m, unit in cases:
         report = invariance_system_check(m)
-        assert isinstance(report, Symmetry) == product_form_agrees_at_points(m, rng), m
         if unit is not None:  # a permutation pattern: its scale product decides
             assert isinstance(report, Symmetry) == unit, m
-        if type(report) is Symmetry:
-            assert brute_force_degenerate(m) is None and enumerated_permanent(m) == 1, m
-        elif type(report.witness) is DegenerateTuple:
-            assert report.witness == brute_force_degenerate(m), m
-        else:
-            assert report.witness.value == enumerated_permanent(m), m
+        _assert_matches_the_definition(m, report, product_form_agrees_at_points(m, rng),
+                                       brute_force_degenerate(m), lambda: enumerated_permanent(m))
+        checked += 1
+    assert checked == {2: 16 + 4, 3: 512 + 12, 4: 65536 + 48}[n]
 
 
-# the permanent witness is re-checked off the row scan for a zero row or a
-# monomial, the two shapes the classifier issues it for, and expanded otherwise
+# the tables the n = 4 sweep reads agree with the per-matrix oracles on every
+# support pattern of one seeded filling at n = 2 and 3
+@pytest.mark.parametrize("n", [2, 3])
+def test_support_oracles_match_the_per_matrix_oracles(n):
+    rng = random.Random(f"support-oracles:{n}")
+    values = [[random_nonzero_rational(rng) for _ in range(n)] for _ in range(n)]
+    degenerate_on, permanent_on, agrees_on = _support_oracles(values, rng)
+    for pattern in range(2 ** (n * n)):
+        m = _kept_on(values, pattern)
+        assert degenerate_on(pattern) == brute_force_degenerate(m), m
+        assert permanent_on(pattern) == enumerated_permanent(m), m
+        assert agrees_on(pattern) == product_form_agrees_at_points(m, rng), m
+
+
+# the permanent, and so the permanent witness's re-check, is read off the row
+# scan for a zero row or a monomial, the two shapes the classifier issues that
+# witness for, and expanded over the row supports otherwise
 
 
 def witness_shapes(n, rng):
@@ -650,7 +736,7 @@ def test_permanent_witness_recheck_agrees_with_the_expanded_permanent(n, monkeyp
         value = permanent(matrix)
         assert value == enumerated_permanent(matrix), shape
         if not expands:  # read off the scan: the expansion must not run
-            monkeypatch.setattr(classify_module, "permanent", _no_expansion)
+            monkeypatch.setattr(classify_module, "_expand_over_supports", _no_expansion)
         for claimed in (value, value + 1, value - F(1, 2), F(1), F(0)):
             got = witness_violates(matrix, PermanentMismatch(claimed))
             assert got is (claimed != 1 and claimed == value), (shape, claimed)

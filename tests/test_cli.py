@@ -160,6 +160,45 @@ def test_components():
     assert json.loads(result.stdout) == {"n": 3, "signs": [-1, -1, 1]}
 
 
+# group-law results are written in full, though Python's int-to-str limit
+# (4300 digits) is below their size; every input literal is under it
+TEN_3000 = "1" + "0" * 3000
+WIDE = json.dumps({"n": 2, "sigma": [1, 2], "scale": [TEN_3000, "1/" + TEN_3000]})
+SHIFTED = json.dumps(
+    {"n": 2, "sigma": [1, 2], "scale": ["1/" + TEN_3000, TEN_3000], "translation": [TEN_3000, "0"]}
+)
+WIDE_RESULTS = {
+    "compose": (
+        ["--a", WIDE, "--b", WIDE],
+        {"n": 2, "sigma": [1, 2], "scale": ["1" + "0" * 6000, "1/1" + "0" * 6000],
+         "translation": ["0", "0"]},
+    ),
+    "inverse": (
+        ["--input", SHIFTED],
+        {"n": 2, "sigma": [1, 2], "scale": [TEN_3000, "1/" + TEN_3000],
+         "translation": ["-1" + "0" * 6000, "0"]},
+    ),
+    "apply": (
+        ["--input", SHIFTED, "--y", json.dumps(["7" * 3001, "3" * 3001])],
+        ["1" + "0" * 2999 + "7" * 3001 + "/" + TEN_3000, "3" * 3001 + "0" * 3000],
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", WIDE_RESULTS)
+def test_group_law_results_past_the_digit_limit_are_written_in_full(subcommand):
+    args, expected = WIDE_RESULTS[subcommand]
+    result = run_cli(subcommand, *args)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == canonical_dumps(expected) + "\n"
+
+
+def test_a_literal_past_the_digit_limit_is_exit_2():
+    result = run_cli("apply", "--input", ELEMENT_P, "--y", json.dumps(["1" * 4301, "1", "1"]))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 # exit codes 2 and 3
 
 

@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,10 +14,11 @@ import bmsym
 from bmsym import AffineSymmetry, DiagonalGroupElement, DimensionMismatch, NotSquare, Permutation
 from bmsym import RationalMatrix, ScaledPerm, TracelessDiagonal, as_fraction, as_vector
 from bmsym import DegenerateTuple, OracleReport, PermanentMismatch, Symmetry, Violation
-from bmsym import classify_affine
+from bmsym import classify_affine, matrix
 from bmsym.errors import TraceNotZero, UnitProductViolation
 from bmsym.matrix import ZERO, _affine_gather, _dot, _inv, _inverse_gather, _prod, _unchecked
 from bmsym.matrix import _scaled_gather
+import check_kernels
 from helpers import NO_SHRINK, nonzero_rationals, scaled_perms, wide_nonzero_rationals
 from oracles import cofactor_det, diagonal, is_diagonal, operator_apply, operator_matmul
 
@@ -413,6 +417,39 @@ def test_prod_kernel_matches_the_operator(values):
 def test_inv_kernel_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         _inv(Fraction(0))
+
+
+CHECK_KERNELS = pathlib.Path(check_kernels.__file__)
+
+
+def test_the_stdlib_kernel_check_passes_without_site_packages():
+    """tests/check_kernels.py, as CI's package smoke step runs it; ``-S`` leaves
+    out site-packages, so it runs with the standard library alone."""
+    result = subprocess.run(
+        [sys.executable, "-S", str(CHECK_KERNELS), "--cases", "300"], capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, ""), result.stdout
+    assert result.stdout.endswith(": 0 mismatches\n")
+
+
+def _unreduced_prod(values):
+    numerator = denominator = 1
+    for v in values:
+        numerator, denominator = numerator * v.numerator, denominator * v.denominator
+    return matrix._fraction(numerator, denominator)
+
+
+BROKEN_KERNELS = {
+    "_inv": lambda a: Fraction(1) / abs(a),  # drops the sign
+    "_prod": _unreduced_prod,  # the right value, not in lowest terms
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_KERNELS)
+def test_the_stdlib_kernel_check_names_a_broken_kernel(name, monkeypatch, capsys):
+    monkeypatch.setattr(matrix, name, BROKEN_KERNELS[name])
+    assert check_kernels.main(["--cases", "20"]) == 1
+    assert f"mismatch in {name}(" in capsys.readouterr().out
 
 
 def test_dot_of_no_terms_or_of_zero_sums_is_the_shared_zero():

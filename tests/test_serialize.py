@@ -1,4 +1,7 @@
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -212,6 +215,25 @@ def test_vector_round_trip():
         vector_from_obj([])
     with pytest.raises(MalformedInput):
         vector_from_obj({"y": [1]})
+
+
+def test_vector_to_obj_writes_what_str_writes_without_a_digit_limit():
+    """Every rational as the ``str`` of a child that lifts Python's digit limit:
+    values past it, powers of ten, and small ones."""
+    rng = random.Random("wide-digits")
+    sizes = [1, 599, 600, 601, 1200, 4300, 4301, 6000, 13000]
+    ints = [rng.randrange(10 ** (k - 1), 10**k) for k in sizes] + [10**k for k in sizes]
+    ints += [10**1200 + 7, 10**1800 - 1]
+    values = [F(sign * a, b) for a in ints for b in (1, 3, 10**4301 + 1) for sign in (1, -1)]
+    child = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=0", "-c",
+         "import sys; from fractions import Fraction as F\n"
+         "for line in sys.stdin: print(F(*(int(h, 16) for h in line.split())))"],
+        input="".join(f"{v.numerator:x} {v.denominator:x}\n" for v in values),
+        capture_output=True, text=True, check=True,
+    )
+    assert vector_to_obj(values) == child.stdout.splitlines()
+    assert vector_to_obj(values[:2]) == [str(v) for v in values[:2]]
 
 
 def test_diag_round_trip():
