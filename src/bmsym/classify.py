@@ -8,9 +8,9 @@ matrix with unit scale product.  For n >= 3 the argument plays a third row
 against the indices; the 2x2 system (ac = 0, bd = 0, ad + bc = 1) gives the
 same conclusion by direct case analysis.
 
-Validates: the dimension (n >= 2 for a verdict, then the policy cap
-``DEFAULT_MAX_N`` before any work), a translation's length, and a
-re-checked witness's indices.  Trusts: ``RationalMatrix`` entries are exact
+Validates: the dimension (n >= 2 for a verdict), a translation's length,
+and a re-checked witness's indices.  Every n is decided; the dimension cap
+is the CLI's policy.  Trusts: ``RationalMatrix`` entries are exact
 ``Fraction``s.  Verdicts are built unchecked, since the decision proved
 distinct support columns and a unit scale product.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DEFAULT_MAX_N, DimensionCapExceeded, DimensionMismatch, NotMonomial
+from .errors import DimensionMismatch, NotMonomial
 from .group import Permutation, ScaledPerm
 from .matrix import ZERO, RationalMatrix, _Record, _prod, _sized_vector, _unchecked
 
@@ -82,15 +82,10 @@ class OracleReport(_Record):
         return self.positives_passed == self.trials and self.perturbed_rejected == self.trials
 
 
-def _check_cap(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise DimensionCapExceeded(f"dimension {n} exceeds the dimension cap {max_n}")
-
-
-def permanent(matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N) -> Fraction:
+def permanent(matrix: RationalMatrix) -> Fraction:
     """The exact permanent: 0 at a zero row and the scale product of a
-    monomial, both read off ``_scan``, else ``_expand_over_supports``."""
-    _check_cap(matrix.n, max_n)
+    monomial, both read off ``_scan``, else ``_expand_over_supports``,
+    which takes at most n 2^(n-1) steps, on a dense matrix."""
     found = _scan(matrix)
     if type(found) is tuple:
         return _prod(found[1])
@@ -104,7 +99,7 @@ def _expand_over_supports(matrix: RationalMatrix) -> Fraction:
 
     ``sums`` maps each set of columns used so far (a bitmask) to the sum of
     the entry products onto it, on rows scaled to integers; the scaling is
-    divided out at the end.  At most n 2^(n-1) steps, on a dense matrix.
+    divided out at the end.
     """
     sums = {0: 1}
     denominator = 1
@@ -154,15 +149,12 @@ def _scan(matrix: RationalMatrix):
     return DegenerateTuple(tuple(columns), _prod(entries))
 
 
-def degenerate_products_zero(
-    matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N
-) -> DegenerateTuple | None:
+def degenerate_products_zero(matrix: RationalMatrix) -> DegenerateTuple | None:
     """None if every repeated-index column tuple has zero product.
 
     Otherwise the first violating tuple in lexicographic order, with its
     (necessarily nonzero) product.
     """
-    _check_cap(matrix.n, max_n)
     found = _scan(matrix)
     return found if type(found) is DegenerateTuple else None
 
@@ -183,11 +175,10 @@ def extract_pattern(matrix: RationalMatrix) -> tuple[Permutation, tuple[Fraction
     raise NotMonomial(f"nonzero columns {list(found.indices)} repeat")
 
 
-def _decide(matrix: RationalMatrix, max_n: int):
+def _decide(matrix: RationalMatrix):
     """A Violation, or the (sigma, scales) of a symmetry."""
     if matrix.n < 2:
         raise DimensionMismatch("classification needs n >= 2")
-    _check_cap(matrix.n, max_n)
     found = _scan(matrix)
     if type(found) is not tuple:
         return Violation(found)
@@ -197,24 +188,20 @@ def _decide(matrix: RationalMatrix, max_n: int):
     return found
 
 
-def invariance_system_check(
-    matrix: RationalMatrix, *, max_n: int = DEFAULT_MAX_N
-) -> InvarianceReport:
+def invariance_system_check(matrix: RationalMatrix) -> InvarianceReport:
     """Full decision: Symmetry with recovered (sigma, scales), or a witness."""
-    found = _decide(matrix, max_n)
+    found = _decide(matrix)
     return found if type(found) is Violation else Symmetry(*found)
 
 
 _AffineSymmetry = None  # affine.AffineSymmetry, once classify_affine has returned one
 
 
-def classify_affine(
-    matrix: RationalMatrix, translation, *, max_n: int = DEFAULT_MAX_N
-) -> AffineSymmetry | Violation:
+def classify_affine(matrix: RationalMatrix, translation) -> AffineSymmetry | Violation:
     """Classify x -> J x + t; the translation is unconstrained."""
     global _AffineSymmetry
     translation = _sized_vector(translation, matrix.n, "translation")
-    found = _decide(matrix, max_n)
+    found = _decide(matrix)
     if type(found) is Violation:
         return found
     if _AffineSymmetry is None:  # the first symmetry loads affine, and dataclasses with it
@@ -237,9 +224,7 @@ def membership_test(matrix: RationalMatrix, sigma: Permutation) -> bool:
     return type(found) is tuple and found[0].image == sigma.inverse().image and _prod(found[1]) == 1
 
 
-def witness_violates(
-    matrix: RationalMatrix, witness: Witness, *, max_n: int = DEFAULT_MAX_N
-) -> bool:
+def witness_violates(matrix: RationalMatrix, witness: Witness) -> bool:
     """Re-evaluate a witness against the matrix it was issued for."""
     if isinstance(witness, DegenerateTuple):
         n, indices = matrix.n, witness.indices
@@ -250,7 +235,7 @@ def witness_violates(
         product = _prod(matrix.rows[i][k - 1] for i, k in enumerate(indices))
         return product != 0 and product == witness.product
     if isinstance(witness, PermanentMismatch):
-        return witness.value != 1 and permanent(matrix, max_n=max_n) == witness.value
+        return witness.value != 1 and permanent(matrix) == witness.value
     raise TypeError(f"unknown witness type: {witness!r}")
 
 
@@ -263,9 +248,7 @@ def _inject_off_pattern(element: ScaledPerm, dense: RationalMatrix, rng, draw) -
     return dense.with_entry(row, column, draw(rng))
 
 
-def theorem_oracle(
-    n: int, trials: int, seed: int = 0, *, max_n: int = DEFAULT_MAX_N
-) -> OracleReport:
+def theorem_oracle(n: int, trials: int, seed: int = 0) -> OracleReport:
     """Randomized two-sided check of the classifier at one dimension.
 
     Soundness: every sampled scaled permutation must come back as Symmetry
@@ -280,20 +263,19 @@ def theorem_oracle(
         raise ValueError("trials must be >= 1")
     if n < 2:
         raise DimensionMismatch("the oracle needs n >= 2")
-    _check_cap(n, max_n)
     positives_passed = perturbed_rejected = 0
     for index in range(trials):
         rng = trial_rng(seed, index)
         element = random_scaled_perm(n, rng)
         dense = element.to_dense()
-        found = _decide(dense, max_n)
+        found = _decide(dense)
         positives_passed += (
             type(found) is tuple
             and found[0].image == element.sigma.image
             and found[1] == element.scale
         )
         perturbed = _inject_off_pattern(element, dense, rng, random_nonzero_rational)
-        found = _decide(perturbed, max_n)
-        if type(found) is Violation and witness_violates(perturbed, found.witness, max_n=max_n):
+        found = _decide(perturbed)
+        if type(found) is Violation and witness_violates(perturbed, found.witness):
             perturbed_rejected += 1
     return OracleReport(n, trials, positives_passed, perturbed_rejected, seed)

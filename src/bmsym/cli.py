@@ -6,7 +6,8 @@ exceeded, each error with one ``error:`` line on stderr.  An input flag
 takes a file path or inline JSON (a leading "{" or "["); the one result
 document goes to stdout or --output.
 
-Validates only the Lie subcommands' ``--n``; ``serialize`` reads the rest.
+Validates the Lie subcommands' ``--n`` and the one dimension cap, ``--max-n``
+(``_require_cap``, of classify and oracle); ``serialize`` reads the rest.
 Each subcommand is one row of ``_SUBCOMMANDS``.  A call is a fresh process,
 so ``main`` builds only the subparser that argv names first, and the whole
 table when there is none, so help and usage errors read the same either
@@ -52,6 +53,11 @@ def _require_lie_n(n: int) -> None:
         raise MalformedInput(f"--n must be at least 2, got {n}")
 
 
+def _require_cap(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise DimensionCapExceeded(f"dimension {n} exceeds the dimension cap {max_n}")
+
+
 def _cmd_compose(args) -> tuple[object, int]:
     a = element_from_obj(_load(args.a))
     b = element_from_obj(_load(args.b))
@@ -81,7 +87,8 @@ def _cmd_classify(args) -> tuple[object, int]:
 
     matrix = matrix_from_obj(_load(args.matrix))
     translation = None if args.y is None else vector_from_obj(_load(args.y), "--y", matrix.n)
-    report = invariance_system_check(matrix, max_n=args.max_n)
+    _require_cap(matrix.n, args.max_n)
+    report = invariance_system_check(matrix)
     payload = report_to_obj(report, translation)
     return payload, 0 if isinstance(report, Symmetry) else 1
 
@@ -98,7 +105,8 @@ def _cmd_membership(args) -> tuple[object, int]:
 def _cmd_oracle(args) -> tuple[object, int]:
     from .classify import theorem_oracle
 
-    report = theorem_oracle(args.n, args.trials, args.seed, max_n=args.max_n)
+    _require_cap(args.n, args.max_n)
+    report = theorem_oracle(args.n, args.trials, args.seed)
     return oracle_report_to_obj(report), 0 if report.all_passed() else 1
 
 

@@ -4,7 +4,7 @@ Everything derives from ValueError so callers can catch broadly; the CLI
 distinguishes DimensionCapExceeded (exit 3) from other input errors (exit 2).
 """
 
-DEFAULT_MAX_N = 8  # the classifier's dimension cap, a policy limit
+DEFAULT_MAX_N = 8  # the CLI's default dimension cap, a policy limit
 
 
 class DimensionMismatch(ValueError):

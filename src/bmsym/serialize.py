@@ -1,15 +1,15 @@
 """Canonical JSON for every object the command line reads or writes.
 
 Validates each input once, by the reader for its shape (``_require_list``
-for every array, ``vector_from_obj`` for every rational array,
-``sigma_from_obj`` for ``--sigma``), raising MalformedInput, and the
-constructors add the algebraic conditions.  Reading keeps Python's limit
-on the digits of an integer literal.  Trusts: a parsed matrix holds the
-``Fraction``s its reader built, so it is built with ``_unchecked``.
+for every array, ``vector_from_obj`` for every rational array, naming
+Python's limit on an integer literal's digits, ``sigma_from_obj`` for
+``--sigma``), raising MalformedInput, and the constructors add the
+algebraic conditions.  Trusts: a parsed matrix holds the ``Fraction``s
+its reader built, so it is built with ``_unchecked``.
 
 Writes deterministically: keys in insertion order, compact separators,
 floats as '%.17g', other scalars through ``json.dumps``, and each rational
-array through ``vector_to_obj`` as ``str(Fraction)``, written in full.
+through ``_rational_to_str`` as ``str(Fraction)``, written in full.
 
 Imports ``errors`` and ``matrix``; the group, classifier and Lie records
 inside the functions that use them, so a subcommand loads only its layer.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import MalformedInput
@@ -162,16 +163,18 @@ def matrix_from_obj(obj) -> RationalMatrix:
     return _unchecked(RationalMatrix, n, rows)
 
 
-def vector_to_obj(vector) -> list:
-    """Each rational as ``str(Fraction)``, written in full."""
+def _rational_to_str(value: Fraction) -> str:
+    """``str(value)``, written in full."""
     try:
-        return [str(v) for v in vector]
+        return str(value)
     except ValueError:  # past Python's int-to-str limit, which Decimal does not apply
         from decimal import Decimal
 
-        return [
-            f"{Decimal(v.numerator)}/{Decimal(v.denominator)}".removesuffix("/1") for v in vector
-        ]
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}".removesuffix("/1")
+
+
+def vector_to_obj(vector) -> list:
+    return [_rational_to_str(v) for v in vector]
 
 
 def vector_from_obj(obj, what: str = "vector", n: int | None = None) -> tuple[Fraction, ...]:
@@ -179,7 +182,13 @@ def vector_from_obj(obj, what: str = "vector", n: int | None = None) -> tuple[Fr
     values = _require_list(obj, what, n)
     if not values:
         raise MalformedInput(f"{what} must not be empty")
-    return tuple(parse_rational(v) for v in values)
+    try:
+        return tuple(parse_rational(v) for v in values)
+    except MalformedInput:
+        raise
+    except ValueError as exc:  # int() past Python's int-from-str limit
+        limit = sys.get_int_max_str_digits()
+        raise MalformedInput(f"{what} has an integer of more than {limit} digits") from exc
 
 
 def _diagonal_from_obj(obj, what: str, key: str, cls):
@@ -219,10 +228,10 @@ def witness_to_obj(witness) -> dict:
         return {
             "kind": "degenerate_tuple",
             "tuple": list(witness.indices),
-            "product": str(witness.product),
+            "product": _rational_to_str(witness.product),
         }
     if isinstance(witness, PermanentMismatch):
-        return {"kind": "permanent", "value": str(witness.value)}
+        return {"kind": "permanent", "value": _rational_to_str(witness.value)}
     raise MalformedInput(f"unknown witness type {type(witness).__name__}")
 
 

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bmsym import (
-    DEFAULT_MAX_N,
     DegenerateTuple,
-    DimensionCapExceeded,
     DimensionMismatch,
     NotMonomial,
     Permutation,
@@ -89,9 +87,8 @@ def test_permanent_all_ones():
 
 
 def test_permanent_cap():
-    with pytest.raises(DimensionCapExceeded):
-        permanent(RationalMatrix.identity(9))
-    assert permanent(RationalMatrix.identity(9), max_n=9) == 1
+    # n = 9 is past the CLI's default cap of 8, which the library does not apply
+    assert permanent(RationalMatrix.identity(9)) == 1
 
 
 # degenerate products
@@ -171,8 +168,9 @@ def test_system_check_needs_n_at_least_two():
 
 
 def test_system_check_cap():
-    with pytest.raises(DimensionCapExceeded):
-        invariance_system_check(RationalMatrix.identity(9))
+    # n = 9 is past the CLI's default cap of 8, which the library does not apply
+    report = invariance_system_check(RationalMatrix.identity(9))
+    assert report == Symmetry(Permutation.identity(9), (F(1),) * 9)
 
 
 def test_system_check_two_by_two():
@@ -386,10 +384,10 @@ def _outcome(decide, m, **kwargs):
         return f"NotMonomial: {error}"
 
 
-def assert_one_pass_matches_two_passes(m, max_n=DEFAULT_MAX_N):
-    report = invariance_system_check(m, max_n=max_n)
+def assert_one_pass_matches_two_passes(m):
+    report = invariance_system_check(m)
     assert report == two_pass_check(m), m
-    assert degenerate_products_zero(m, max_n=max_n) == two_pass_degenerate(m), m
+    assert degenerate_products_zero(m) == two_pass_degenerate(m), m
     assert _outcome(extract_pattern, m) == _outcome(two_pass_pattern, m), m
     if type(report) is Symmetry:  # the matrix's own entries, read off unchanged
         entries = [row[j - 1] for row, j in zip(m.rows, report.sigma.image)]
@@ -414,7 +412,7 @@ def test_one_pass_matches_the_two_pass_decision_at_n64():
         rows = _monomial_rows(64, rng)
         if index % 2:
             rows = _perturb(rows, rng, rng.randint(1, 3))
-        assert_one_pass_matches_two_passes(RationalMatrix(rows), max_n=64)
+        assert_one_pass_matches_two_passes(RationalMatrix(rows))
 
 
 def test_permanent_matches_sympy():
@@ -431,7 +429,7 @@ def test_permanent_matches_sympy():
 def test_permanent_matches_ryser(n):
     rng = random.Random(f"ryser:{n}")
     for m in _cross_check_matrices(n, rng, 100):
-        assert permanent(m, max_n=n) == ryser_permanent(m), m
+        assert permanent(m) == ryser_permanent(m), m
 
 
 def test_permanent_of_a_tridiagonal_matrix_at_n40():
@@ -450,17 +448,17 @@ def test_permanent_of_a_tridiagonal_matrix_at_n40():
     previous, value = F(1), a[0]
     for k in range(1, n):
         previous, value = value, a[k] * value + b[k - 1] * c[k - 1] * previous
-    assert permanent(RationalMatrix(rows), max_n=n) == value
+    assert permanent(RationalMatrix(rows)) == value
 
 
 def test_permanent_of_a_scaled_permutation_at_n64():
     element = random_scaled_perm(64, random.Random("per64"))
-    assert permanent(element.to_dense(), max_n=64) == 1
+    assert permanent(element.to_dense()) == 1
 
 
 def test_classify_scaled_permutation_at_n64():
     element = random_scaled_perm(64, random.Random("n64"))
-    report = invariance_system_check(element.to_dense(), max_n=64)
+    report = invariance_system_check(element.to_dense())
     assert report == Symmetry(element.sigma, element.scale)
 
 
@@ -504,8 +502,8 @@ def test_oracle_and_sampler_reject_too_few_points(site):
 
 
 def test_oracle_cap():
-    with pytest.raises(DimensionCapExceeded):
-        theorem_oracle(9, 10)
+    # n = 9 is past the CLI's default cap of 8, which the library does not apply
+    assert theorem_oracle(9, 10).all_passed()
 
 
 def test_oracle_deterministic():
@@ -571,7 +569,7 @@ def test_oracle_verdicts_match_the_product_form_at_random_points(n):
         element = random_scaled_perm(n, trial)
         dense = element.to_dense()
         for m in (dense, _inject_off_pattern(element, dense, trial, random_nonzero_rational)):
-            verdict = isinstance(invariance_system_check(m, max_n=n), Symmetry)
+            verdict = isinstance(invariance_system_check(m), Symmetry)
             assert verdict == product_form_agrees_at_points(m, rng), (index, m)
 
 
@@ -743,15 +741,15 @@ def test_permanent_witness_recheck_agrees_with_the_expanded_permanent(n, monkeyp
         monkeypatch.undo()
 
 
-def test_permanent_witness_recheck_keeps_the_dimension_cap():
+def test_permanent_witness_recheck_agrees_with_the_permanent_at_n9():
+    # past the CLI's default cap of 8, which the library does not apply
     rng = random.Random("witness-recheck:9")
     for shape, matrix, _ in witness_shapes(9, rng):
-        with pytest.raises(DimensionCapExceeded, match="^dimension 9 exceeds the dimension cap 8$"):
-            witness_violates(matrix, PermanentMismatch(F(2)))
-        value = permanent(matrix, max_n=9)
-        assert witness_violates(matrix, PermanentMismatch(value), max_n=9) is (value != 1), shape
-        # a witness of 1 is refused before the size is looked at, as ever
-        assert witness_violates(matrix, PermanentMismatch(F(1))) is False
+        value = permanent(matrix)
+        assert value == ryser_permanent(matrix), shape
+        for claimed in (value, value + 1, F(1)):
+            got = witness_violates(matrix, PermanentMismatch(claimed))
+            assert got is (claimed != 1 and claimed == value), (shape, claimed)
 
 
 # the oracle judges the classifier: a wrong decision must lower its counts
@@ -804,9 +802,9 @@ def test_oracle_counts_a_witness_that_does_not_recheck_as_a_failed_rejection(mon
 def test_oracle_judges_exactly_the_constructed_matrices(n, monkeypatch):
     judged, decide = [], classify_module._decide
 
-    def spy(matrix, max_n):
+    def spy(matrix):
         judged.append(matrix)
-        return decide(matrix, max_n)
+        return decide(matrix)
 
     monkeypatch.setattr(classify_module, "_decide", spy)
     seed, trials = 11, 6

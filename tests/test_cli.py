@@ -193,10 +193,32 @@ def test_group_law_results_past_the_digit_limit_are_written_in_full(subcommand):
     assert result.stdout == canonical_dumps(expected) + "\n"
 
 
+# a 2 x 2 matrix of 10^3000 entries: a witness of 6,001 digits, written in full
+WIDE_WITNESSES = {
+    "degenerate_tuple": (
+        [[TEN_3000, TEN_3000], [TEN_3000, TEN_3000]],
+        {"kind": "degenerate_tuple", "tuple": [1, 1], "product": "1" + "0" * 6000},
+    ),
+    "permanent": (
+        [[TEN_3000, "0"], ["0", TEN_3000]],
+        {"kind": "permanent", "value": "1" + "0" * 6000},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", WIDE_WITNESSES)
+def test_witnesses_past_the_digit_limit_are_written_in_full(kind):
+    rows, witness = WIDE_WITNESSES[kind]
+    result = run_cli("classify", "--matrix", json.dumps({"n": 2, "rows": rows}))
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout == canonical_dumps({"verdict": "violation", "witness": witness}) + "\n"
+
+
 def test_a_literal_past_the_digit_limit_is_exit_2():
-    result = run_cli("apply", "--input", ELEMENT_P, "--y", json.dumps(["1" * 4301, "1", "1"]))
+    limit = sys.get_int_max_str_digits()
+    result = run_cli("apply", "--input", ELEMENT_P, "--y", json.dumps(["1" * (limit + 1), "1", "1"]))
     assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert result.stderr == f"error: --y has an integer of more than {limit} digits\n"
 
 
 # exit codes 2 and 3
@@ -231,6 +253,14 @@ def test_cap_exceeded_is_exit_3():
 def test_cap_can_be_raised():
     result = run_cli("classify", "--matrix", BIG_IDENTITY, "--max-n", "9")
     assert result.returncode == 0
+    result = run_cli("oracle", "--n", "9", "--trials", "5", "--max-n", "9")
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_the_cap_is_checked_before_the_trial_count():
+    result = run_cli("oracle", "--n", "9", "--trials", "0")
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == "error: dimension 9 exceeds the dimension cap 8\n"
 
 
 def test_usage_error_is_exit_2():

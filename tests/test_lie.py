@@ -343,6 +343,11 @@ def test_algebra_completion_cannot_overflow_midway():
     for overflow in (lambda: y + y, lambda: y.scaled(2.0), lambda: y.scaled(math.nan)):
         with pytest.raises(TraceNotZero):
             overflow()
+    # the head's trace, 3.4e308, is past the float range, so no float completes it
+    z = TracelessDiagonal((1.7e308, 1.7e308, -2 * F(1.7e308)))
+    with pytest.raises(TraceNotZero,
+                       match=r"^chart \(1\.7e\+308, 1\.7e\+308\) has no finite traceless completion$"):
+        z.scaled(1.0)
 
 
 # exp and log
