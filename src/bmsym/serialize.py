@@ -1,11 +1,12 @@
 """Canonical JSON for every object the command line reads or writes.
 
-Validates each input once, by the reader for its shape (``_require_list``
-for every array, ``vector_from_obj`` for every rational array, naming
-Python's limit on an integer literal's digits, ``sigma_from_obj`` for
-``--sigma``), raising MalformedInput, and the constructors add the
-algebraic conditions.  Trusts: a parsed matrix holds the ``Fraction``s
-its reader built, so it is built with ``_unchecked``.
+Validates each input once, by ``loads`` for the JSON text and the reader
+for its shape (``_require_list`` for every array, ``vector_from_obj`` for
+every rational array, ``sigma_from_obj`` for ``--sigma``), raising
+MalformedInput, and the constructors add the algebraic conditions; an
+integer past Python's limit on its digits is one line naming the limit.
+Trusts: a parsed matrix holds the ``Fraction``s its reader built, so it
+is built with ``_unchecked``.
 
 Writes deterministically: keys in insertion order, compact separators,
 floats as '%.17g', other scalars through ``json.dumps``, and each rational
@@ -83,6 +84,9 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # a bare integer past Python's int-from-str limit
+        limit = sys.get_int_max_str_digits()
+        raise MalformedInput(f"JSON input has an integer of more than {limit} digits") from exc
 
 
 def _require_dict(obj, what: str) -> dict:

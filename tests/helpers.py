@@ -8,6 +8,8 @@ from fractions import Fraction
 from hypothesis import Phase, strategies as st
 
 from bmsym import Permutation, ScaledPerm, AffineSymmetry
+# the shared CLI inputs live with the CLI table; the acceptance tests import them from here
+from check_cli import BIG_IDENTITY, ELEMENT_P, ELEMENT_Q, WORKED_MATRIX
 
 # every phase but shrinking, for properties whose failing examples are slow to
 # shrink (each step re-runs a whole chain at n = 64 with 128-bit entries)
@@ -65,13 +67,6 @@ def affine_symmetries(draw, n=None, min_n=2, max_n=5, scales=nonzero_rationals,
 def vectors(draw, n, entries=nonzero_rationals):
     return tuple(draw(entries) for _ in range(n))
 
-
-WORKED_MATRIX = '{"n":3,"rows":[["0","2","0"],["0","0","3"],["1/6","0","0"]]}'
-ELEMENT_P = '{"n":3,"sigma":[2,3,1],"scale":["2","3","1/6"]}'
-ELEMENT_Q = '{"n":3,"sigma":[2,1,3],"scale":["1/2","2","1"]}'
-BIG_IDENTITY = json.dumps(
-    {"n": 9, "rows": [[str(int(i == j)) for j in range(9)] for i in range(9)]}
-)
 
 # One successful call of each of the twelve subcommands.
 SUBCOMMAND_ARGS = {
