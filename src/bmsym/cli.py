@@ -9,16 +9,17 @@ document goes to stdout or --output.
 Validates the Lie subcommands' ``--n`` and the one dimension cap, ``--max-n``
 (``_require_cap``, of classify and oracle); ``serialize`` reads the rest.
 Each subcommand is one row of ``_SUBCOMMANDS``.  A call is a fresh process,
-so ``main`` builds only the subparser that argv names first, and the whole
-table when there is none, so help and usage errors read the same either
-way.  Imports ``argparse``, ``errors`` and ``serialize``; each handler
-imports the layers it runs.
+so ``main`` reads a plain call (``_read``) from its row alone, into the
+namespace argparse would make of it; any other argv, help and usage errors
+included, goes to ``build_parser``, so argparse writes every help and usage
+text.  Imports ``errors`` and ``serialize``, and ``argparse`` only in
+``build_parser``; each handler imports the layers it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import DEFAULT_MAX_N, DimensionCapExceeded, MalformedInput
 from .serialize import (
@@ -182,15 +183,16 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every row, or of the one row named ``subcommand`` if any is."""
+def build_parser():
+    """The argparse parser of every row."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bmsym",
         description="Exact scaled-permutation symmetries of the product-form metric.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    rows = [row for row in _SUBCOMMANDS if row[0] == subcommand] or _SUBCOMMANDS
-    for name, help_text, handler, flags in rows:
+    for name, help_text, handler, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", help="write the JSON document here instead of stdout")
         for flag, options in flags:
@@ -199,13 +201,40 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read(argv: list) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns for a plain call: a row's
+    name, then ``--flag value`` pairs of that row's full flags, each at most
+    once, no value starting with "-", every required flag present and every
+    int flag an ``int()``.  None for any other argv."""
+    row = next((row for row in _SUBCOMMANDS if argv[:1] == [row[0]]), None)
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if row is None or len(argv) != 2 * len(pairs) + 1:  # odd length, or a repeated flag
+        return None
+    options = dict((("--output", {}), *row[3]))
+    if not pairs.keys() <= options.keys() or any(v.startswith("-") for v in pairs.values()):
+        return None
+    args = SimpleNamespace(subcommand=row[0], handler=row[2])
+    for flag, option in options.items():
+        if flag not in pairs and option.get("required"):
+            return None
+        value = pairs.get(flag, option.get("default"))
+        if flag in pairs and option.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        # a call names its subcommand first, so its parser needs that row alone
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         payload, code = args.handler(args)
         text = canonical_dumps(payload) + "\n"

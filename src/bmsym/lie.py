@@ -245,6 +245,8 @@ def lie_exp(x: TracelessDiagonal) -> DiagonalGroupElement:
             chart.append(math.exp(v))
         except OverflowError:
             raise UnitProductViolation(f"entry {i} is above the float range") from None
+        if chart[-1] == 0.0:
+            raise UnitProductViolation(f"entry {i} is below the float range")
     return dn1_new(chart)
 
 

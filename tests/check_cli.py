@@ -150,6 +150,21 @@ CASES = {
         ["components", "--input", '{"n":3,"diag":[-2.0,-0.5,1.0]}'], 0,
         '{"n":3,"signs":[-1,-1,1]}\n', "",
     ),
+    # calls that are not a plain "--flag value" list, which argparse reads
+    "inverse_with_flag_equals_value": (
+        ["inverse", f"--input={ELEMENT_P}"], 0,
+        '{"n":3,"sigma":[3,1,2],"scale":["6","1/2","1/3"],"translation":["0","0","0"]}\n', "",
+    ),
+    "inverse_with_an_abbreviated_flag": (
+        ["inverse", "--inp", ELEMENT_P], 0,
+        '{"n":3,"sigma":[3,1,2],"scale":["6","1/2","1/3"],"translation":["0","0","0"]}\n', "",
+    ),
+    "a_repeated_flag_takes_its_last_value": (
+        ["metric", "--y", "[1,1,1]", "--y", "[1,2,4]"], 0, '{"F":2.0}\n', "",
+    ),
+    "lie_basis_at_a_negative_n": (
+        ["lie-basis", "--n", "-1"], 2, "", "error: --n must be at least 2, got -1\n",
+    ),
     # the dimension cap: exit 3 at n = 9, a verdict with --max-n 9
     "cap_exceeded_is_exit_3": (
         ["classify", "--matrix", BIG_IDENTITY], 3,
@@ -253,7 +268,7 @@ CASES = {
     ),
     "exp_underflow_is_exit_2": (
         ["lie-exp", "--input", '{"n":2,"tdiag":[-800.0,800.0]}'], 2,
-        "", "error: chart coordinates must be nonzero\n",
+        "", "error: entry 1 is below the float range\n",
     ),
     "unit_product_below_the_float_range_is_exit_2": (
         ["components", "--input", '{"n":3,"diag":[1e-200,1e-200,1.0]}'], 2,

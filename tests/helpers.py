@@ -103,14 +103,14 @@ print(json.dumps([codes, sorted(sys.modules)]))
 """
 
 
-def loaded_by(rows, *flags):
+def loaded_by(rows, *flags, code=0):
     """sys.modules after one child ran each argv of ``rows``, every one with
-    exit code 0 and no stderr: ``["bmsym", ...]`` as ``python -m bmsym ...``
-    and ``[path]`` as ``python path``."""
+    exit code ``code``, and with no stderr if that is 0: ``["bmsym", ...]`` as
+    ``python -m bmsym ...`` and ``[path]`` as ``python path``."""
     result = subprocess.run(
         [sys.executable, *flags, "-c", _HARNESS, json.dumps(rows)], capture_output=True, text=True
     )
-    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    assert result.returncode == 0 and (code or result.stderr == ""), result.stderr
     codes, modules = json.loads(result.stdout.splitlines()[-1])
-    assert codes == [0] * len(rows)
+    assert codes == [code] * len(rows)
     return set(modules)

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -8,10 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bmsym
 import check_cli
-from bmsym.cli import _SUBCOMMANDS, build_parser, main
+from bmsym.cli import _SUBCOMMANDS, _read, build_parser, main
 from bmsym.errors import DEFAULT_MAX_N
 from bmsym.serialize import canonical_dumps
 from check_cli import BIG_IDENTITY, CASES, WORKED_MATRIX
@@ -263,38 +263,83 @@ def _argv_shapes(subcommand):
     ]
     if len(args[0]) > 5:  # an abbreviation of the first flag, such as --inp
         shapes.append([subcommand, args[0][:5], *args[1:]])
+    shapes += [[*valid, *args[:2]], [*valid, "--output", "-o"]]  # a repeat; a dash-leading value
     flags = next(row[3] for row in _SUBCOMMANDS if row[0] == subcommand)
-    shapes += [[*valid, flag, "x"] for flag, options in flags if options.get("type") is int]
+    shapes += [[*valid, flag, value] for flag, options in flags if options.get("type") is int
+               for value in ("x", "-1")]
     return shapes
 
 
-# argv that names no subcommand first builds the whole table either way
+# argv that names no subcommand first
 UNNAMED_ARGV = [[], ["-h"], ["nosuch"], ["comp"], ["--output", "out.json", "compose"]]
 
 
+def _reads_like_argparse(argv):
+    """The reader reads ``argv`` as argparse does, or leaves it to argparse."""
+    read = _read(argv)
+    assert read is None or vars(read) == _parsed(build_parser(), argv), argv
+    return read
+
+
 @pytest.mark.parametrize("subcommand", [*SUBCOMMAND_ARGS, None])
-def test_the_one_row_parser_parses_like_the_whole_table(subcommand, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "100")  # help and usage wrap at the terminal width
-    shapes = UNNAMED_ARGV if subcommand is None else _argv_shapes(subcommand)
+def test_the_reader_reads_like_argparse(subcommand):
+    if subcommand is None:
+        shapes = UNNAMED_ARGV + [argv for argv, *_ in CASES.values()]
+    else:
+        shapes = _argv_shapes(subcommand)
+        assert _reads_like_argparse(shapes[0]) is not None  # the valid call
     for argv in shapes:
-        one_row = build_parser(argv[0] if argv else None)
-        assert _parsed(one_row, argv) == _parsed(build_parser(), argv), argv
+        _reads_like_argparse(argv)
 
 
-def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
-    added = []
-    add_parser = argparse._SubParsersAction.add_parser
+ROW_FLAGS = {row[0]: [flag for flag, _ in row[3]] + ["--output"] for row in _SUBCOMMANDS}
+ALL_FLAGS = sorted({flag for flags in ROW_FLAGS.values() for flag in flags})
+VALUES = st.one_of(
+    st.sampled_from(["3", "0", "x", "", " 4 ", "+5", "1_0", "3.0", "\u0663", "[1,2,4]", "a=b"]),
+    st.sampled_from(["-1", "-2", "-", "--", "-h", "--y", "-o"]),
+    st.text(max_size=3),
+)
 
-    def counting(self, name, **kwargs):
-        added.append(name)
-        return add_parser(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+@st.composite
+def argvs(draw):
+    """Mostly a valid call, reordered and changed: flags of its own row and of
+    others, abbreviations, ``--flag=value``, repeats, a dropped pair, odd values."""
+    name = draw(st.sampled_from([*SUBCOMMAND_ARGS, "comp", "-h", ""]))
+    args = SUBCOMMAND_ARGS.get(name, [])
+    own = st.sampled_from(ROW_FLAGS.get(name, ALL_FLAGS))
+    flags = st.one_of(
+        own,
+        st.sampled_from(ALL_FLAGS),
+        st.builds(lambda flag, k: flag[:k], own, st.integers(min_value=2, max_value=6)),
+    )
+    extra = st.one_of(
+        st.tuples(flags, VALUES),
+        st.builds(lambda flag, value: (f"{flag}={value}",), own, VALUES),
+    )
+    pairs = list(zip(args[::2], args[1::2])) + draw(st.lists(extra, max_size=2))
+    pairs = draw(st.permutations(pairs))
+    if pairs and draw(st.integers(min_value=0, max_value=3)) == 0:
+        del pairs[draw(st.integers(min_value=0, max_value=len(pairs) - 1))]
+    argv = [name, *(word for pair in pairs for word in pair)]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(argv)))
+        argv.insert(at, draw(st.one_of(flags, VALUES)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_the_reader_reads_random_argv_like_argparse(argv):
+    _reads_like_argparse(argv)
+
+
+def test_a_plain_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr("bmsym.cli.build_parser", lambda: built.append(True) or build_parser())
     for subcommand, args in SUBCOMMAND_ARGS.items():
-        added.clear()
         assert main([subcommand, *args]) == 0
-        assert added == [subcommand]
-    added.clear()
-    assert main(["comp"]) == 2  # no row has that name: the whole table reports it
-    assert added == [row[0] for row in _SUBCOMMANDS]
+    assert built == []
+    assert main(["comp"]) == 2  # no row has that name: argparse reports it
+    assert built == [True]
     capsys.readouterr()

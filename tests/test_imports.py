@@ -3,8 +3,10 @@
 Each row runs in a fresh child, as ``python -m bmsym`` or ``python demos/...``
 would, and pins which ``bmsym``, ``dataclasses`` and ``numpy`` modules its
 ``sys.modules`` gains over a child that runs no row, and an exit code of 0
-with an empty stderr.  ``-X importtime`` would miss the modules that the
-package's lazy names load through ``importlib``.
+with an empty stderr.  No subcommand row loads ``argparse`` (nor the
+``gettext`` and ``locale`` it brings); a help call and a usage error do.
+``-X importtime`` would miss the modules that the package's lazy names load
+through ``importlib``.
 """
 
 import pathlib
@@ -57,6 +59,13 @@ def test_import_contract(name, baseline):
     added = loaded_by([ROWS[name]]) - baseline
     pinned = {m for m in added if m.partition(".")[0] in ("bmsym", "dataclasses", "numpy")}
     assert pinned == set(CONTRACT[name].split())
+
+
+def test_only_help_and_usage_errors_load_argparse(baseline):
+    modules = {"argparse", "gettext", "locale"}
+    assert not modules & (loaded_by([ROWS[name] for name in SUBCOMMAND_ARGS]) - baseline)
+    assert modules <= loaded_by([["bmsym", "--help"]])
+    assert modules <= loaded_by([["bmsym", "classify"]], code=2)
 
 
 def test_only_affine_loads_dataclasses():

@@ -380,9 +380,12 @@ def test_lie_log_off_positive_component():
 
 
 def test_exp_overflow_names_the_entry():
-    for head, i in (((800.0,), 1), ((1.0, 800.0), 2), ((710.0, 1.0, -1.0), 1)):
+    # and an entry whose exp underflows to 0.0, the same way
+    for head, i, side in (((800.0,), 1, "above"), ((1.0, 800.0), 2, "above"),
+                          ((710.0, 1.0, -1.0), 1, "above"), ((-800.0,), 1, "below"),
+                          ((1.0, -750.0, 1.0), 2, "below")):
         x = TracelessDiagonal((*head, -sum(head)))
-        with pytest.raises(UnitProductViolation, match=f"^entry {i} is above the float range$"):
+        with pytest.raises(UnitProductViolation, match=f"^entry {i} is {side} the float range$"):
             lie_exp(x)
 
 
