@@ -2,9 +2,9 @@
 
 Exit codes: 0 success or positive verdict, 1 negative verdict (violation,
 non-membership, failed oracle), 2 usage or input error, 3 dimension cap
-exceeded, each error with one ``error:`` line on stderr.  An input flag
-takes a file path or inline JSON (a leading "{" or "["); the one result
-document goes to stdout or --output.
+exceeded, 4 out of memory, each error with one ``error:`` line on stderr.
+An input flag takes a file path or inline JSON (a leading "{" or "["); the
+one result document goes to stdout or --output.
 
 Validates the Lie subcommands' ``--n`` and the one dimension cap, ``--max-n``
 (``_require_cap``, of classify and oracle); ``serialize`` reads the rest.
@@ -14,10 +14,15 @@ namespace argparse would make of it; any other argv, help and usage errors
 included, goes to ``build_parser``, so argparse writes every help and usage
 text.  Imports ``errors`` and ``serialize``, and ``argparse`` only in
 ``build_parser``; each handler imports the layers it runs.
+
+``run`` is the process entry (``python -m bmsym``, the ``bmsym`` script): it
+freezes the heap once ``main`` has returned, so shutdown collections skip it;
+``main``, the in-process API, leaves the collector alone.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -252,4 +257,15 @@ def main(argv=None) -> int:
         # JSON nested too deeply to parse
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
     return code
+
+
+def run() -> None:
+    """Exit with ``main``'s code.  The frozen heap is freed by reference counting
+    alone, so ``main`` leaves no open file for the collector to close."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -162,8 +163,14 @@ def test_file_inputs_and_output(tmp_path):
     matrix_file = tmp_path / "m.json"
     matrix_file.write_text(WORKED_MATRIX)
     out_file = tmp_path / "out.json"
-    result = run_cli("classify", "--matrix", str(matrix_file), "--output", str(out_file))
-    assert (result.returncode, result.stdout) == (0, "")
+    # the process ends with its heap frozen, so a file left open would never be
+    # finalized by the collector; -X dev reports one that is not closed
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "bmsym",
+         "classify", "--matrix", str(matrix_file), "--output", str(out_file)],
+        capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
     assert out_file.read_text() == CASES["classify_symmetry"][2]
 
 
@@ -185,6 +192,37 @@ def test_main_in_process_exit_codes(capsys):
     assert main(["metric", "--y", "bad"]) == 2
     assert main(["oracle", "--n", "2", "--trials", "3"]) == 0
     capsys.readouterr()
+
+
+def test_out_of_memory_is_exit_4(monkeypatch, capsys):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr("bmsym.lie.structure_constants", exhausted)
+    assert main(["lie-structure", "--n", "3"]) == 4
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # tests and the benchmark's traced replay call main in long-lived processes
+    frozen = gc.get_freeze_count()
+    for argv, code, stdout, stderr in CASES.values():
+        assert main(argv) == code, argv[0]
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+
+def test_a_bmsym_process_freezes_its_heap_before_it_exits():
+    probe = "\n".join([
+        "import gc, runpy, sys",
+        "sys.argv = ['bmsym', 'metric', '--y', '[1,2,4]']",
+        "try:",
+        "    runpy.run_module('bmsym', run_name='__main__')",
+        "except SystemExit as exc:",
+        "    print(exc.code, gc.get_freeze_count() > 0)",
+    ])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (result.stdout, result.stderr) == ('{"F":2.0}\n0 True\n', "")
 
 
 # The subcommand table, checked through the parser it builds, not through
